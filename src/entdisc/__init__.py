@@ -4,9 +4,10 @@ The library answers one question for any pair of qubit channels given in the
 simultaneously diagonalizable form: does attaching half of an entangled pair
 to the probe improve the best achievable success probability?  It provides
 
-* ``smallmat``  -- the 2x2/4x4 complex matrix routines everything runs on,
+* ``smallmat``  -- Hermiticity checks, eigenvalues and trace norms of 2x2/4x4
+  matrices,
 * ``channels``  -- the two-angle channel parametrization, convex mixtures,
-  Kraus/affine pictures and CPTP validation,
+  Kraus/superoperator/affine pictures and CPTP validation,
 * ``discrim``   -- discrimination parameters, closed-form trace-distance
   maxima, and the usefulness decision tree,
 * ``oracle``    -- brute-force probe-state search, Helstrom measurements and

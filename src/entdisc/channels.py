@@ -97,7 +97,7 @@ class KrausSet:
     def completeness_deviation(self) -> float:
         acc = np.zeros((2, 2), dtype=complex)
         for op in self.operators:
-            acc += smallmat.dagger(op) @ op
+            acc += op.conj().T @ op
         return float(np.max(np.abs(acc - np.eye(2))))
 
 
@@ -145,29 +145,34 @@ def check_density(rho, dim: int) -> np.ndarray:
     return rho
 
 
-def _kraus_apply(ops, rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for op in ops:
-        out += op @ rho @ op.conj().T
+def superoperator(c: QubitChannel, extended: bool = False) -> np.ndarray:
+    """Matrix of rho -> sum_k K_k rho K_k^dag on the row-major vec(rho).
+
+    With ``extended`` the matrix is that of id (x) channel on two-qubit
+    states: each Kraus operator becomes kron(I, K_k), the identity acting on
+    the left (reference) qubit in the basis order |00>, |01>, |10>, |11>.
+    """
+    ops = np.array(kraus_operators(c))
+    if extended:  # kron(I, K) for every K
+        ops = np.einsum("ij,kab->kiajb", np.eye(2), ops).reshape(-1, 4, 4)
+    dim = ops.shape[1]
+    # sum_k kron(K_k, conj(K_k)): row (a, c), column (b, d)
+    return np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(dim * dim, dim * dim)
+
+
+def _apply(smat: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    out = (smat @ rho.reshape(-1)).reshape(rho.shape)
     return 0.5 * (out + out.conj().T)
 
 
 def apply(c: QubitChannel, rho) -> np.ndarray:
     """Channel action on a single-qubit density matrix."""
-    rho = check_density(rho, 2)
-    return _kraus_apply(kraus_operators(c), rho)
+    return _apply(superoperator(c), check_density(rho, 2))
 
 
 def apply_extended(c: QubitChannel, rho4) -> np.ndarray:
-    """Action of id (x) channel on a two-qubit density matrix.
-
-    The identity acts on the left (reference) qubit in the canonical basis
-    order |00>, |01>, |10>, |11>.
-    """
-    rho4 = check_density(rho4, 4)
-    eye = np.eye(2, dtype=complex)
-    ops = tuple(smallmat.kron(eye, op) for op in kraus_operators(c))
-    return _kraus_apply(ops, rho4)
+    """Action of id (x) channel on a two-qubit density matrix."""
+    return _apply(superoperator(c, extended=True), check_density(rho4, 4))
 
 
 def affine_map(c: QubitChannel) -> AffineMap:

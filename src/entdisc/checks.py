@@ -49,6 +49,11 @@ def sample_quasi_extreme(rng) -> channels.QubitChannel:
     return channels.QubitChannel.extremal(phi, theta)
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
 def _pair_inputs(c1, c2) -> dict:
     return {
         "channel1": channels.format_channel(c1),
@@ -60,6 +65,7 @@ def check_lemma1(
     samples: int, seed: int, cfg: oracle.SearchConfig = oracle.DEFAULT_CONFIG
 ) -> dict:
     """Closed-form single-qubit maximum vs Bloch-sphere brute force."""
+    _require_samples(samples)
     rng = _rng(seed)
     max_dev = 0.0
     failures = []
@@ -90,6 +96,7 @@ def check_lemma2(
 ) -> dict:
     """Closed-form entangled maximum vs restricted search, and the claim
     that searching outside the |00>/|11> plane never helps."""
+    _require_samples(samples)
     rng = _rng(seed)
     max_dev = 0.0
     max_excess = -math.inf
@@ -129,6 +136,7 @@ def check_quasi_extreme(
     samples: int, seed: int, cfg: oracle.SearchConfig = oracle.DEFAULT_CONFIG
 ) -> dict:
     """For pairs of quasi-extreme maps the entangled optimum never wins."""
+    _require_samples(samples)
     rng = _rng(seed)
     max_gap = -math.inf
     failures = []
@@ -162,8 +170,10 @@ def check_tree(
     classification has any slack below 1e-3 sit too close to a tree
     boundary for floating point and are discarded; the rest must agree
     with (brute entangled - brute single > 1e-6) exactly.  A disagreement
-    is escalated to the full-space search before being reported.
+    is escalated to the full-space search before being reported.  A run
+    that retains no sample checked nothing and does not pass.
     """
+    _require_samples(samples)
     rng = _rng(seed)
     retained = 0
     discarded = 0
@@ -203,7 +213,7 @@ def check_tree(
         "slack_threshold": TREE_SLACK,
         "gap_threshold": TREE_GAP,
         "failures": failures,
-        "passed": not failures,
+        "passed": retained > 0 and not failures,
     }
 
 

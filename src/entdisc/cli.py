@@ -8,6 +8,7 @@ digits so repeated runs are byte-identical); sweeps write CSV.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -124,9 +125,16 @@ def _parse_probe(text: str):
         raise channels.ChannelParseError(
             f"bad amplitude in probe literal {text!r}"
         ) from None
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-    if norm == 0.0:
+    if not all(cmath.isfinite(a) for a in amps):
+        raise channels.ChannelParseError(
+            f"non-finite amplitude in probe literal {text!r}"
+        )
+    # scale by the largest component first so that squaring cannot overflow
+    scale = max(max(abs(a.real), abs(a.imag)) for a in amps)
+    if scale == 0.0:
         raise channels.ChannelParseError(f"zero probe state {text!r}")
+    amps = [a / scale for a in amps]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
     amps = [a / norm for a in amps]
     if head == "qubit" and len(amps) == 2:
         return oracle.PureState2(amps[0], amps[1])

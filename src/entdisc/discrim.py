@@ -52,6 +52,11 @@ class DiscrimParams:
     gamma1: float
     gamma2: float
 
+    def __post_init__(self):
+        for name in ("alpha", "beta", "gamma1", "gamma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
     @property
     def gamma_m(self) -> float:
         """The gamma of smaller magnitude (gamma1 wins ties)."""

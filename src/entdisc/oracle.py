@@ -2,15 +2,26 @@
 
 Nothing in this module uses the closed-form distance formulas.  Trace
 distances are maximized directly over probe states by applying the
-channels' Kraus operators, so the results serve as an independent check on
-the closed forms and on the decision tree.  Grid evaluations are batched
-through numpy (including LAPACK's batched Hermitian eigensolver for the
-4x4 case), which keeps the full acceptance sweep in the minutes range.
+channels' superoperators (:func:`channels.superoperator`), so the results
+serve as an independent check on the closed forms and on the decision
+tree.  Grid evaluations are batched through numpy (including LAPACK's
+batched Hermitian eigensolver for the 4x4 case), which keeps the full
+acceptance sweep in the minutes range.
+
+The three searches are charts over one maximizer, :func:`_ascend`, a
+lockstep coordinate-golden ascent from a batch of starts:
+
+* Bloch: (polar, azimuth), one start at the best grid point;
+* restricted: the Schmidt weight t of sqrt(1 - t)|00> + sqrt(t)|11>, one
+  start at the best grid point.  A relative phase on |11> is not searched:
+  it is undone exactly by diag(1, e^{-i eta}) on the reference qubit, a
+  unitary that commutes with id (x) N and leaves the trace norm unchanged;
+* full: a 6-parameter chart of all pure two-qubit states, seeded
+  multistarts.
 
 All searches are deterministic given a :class:`SearchConfig`: grids are
-uniform, refinements are golden-section coordinate sweeps, the full-space
-search uses a seeded generator for its multistarts, and ties are broken
-toward the lowest index.
+uniform, the full-space search uses a seeded generator for its
+multistarts, and ties are broken toward the lowest index.
 """
 
 from __future__ import annotations
@@ -127,28 +138,8 @@ class Measurement:
             raise ValueError("projectors do not sum to the identity")
 
 
-def _ops(c: channels.QubitChannel) -> list:
-    return list(channels.kraus_operators(c))
-
-
-def _extended_ops(c: channels.QubitChannel) -> list:
-    eye = np.eye(2, dtype=complex)
-    return [np.kron(eye, op) for op in _ops(c)]
-
-
-def _superop(ops) -> np.ndarray:
-    """Matrix of rho -> sum op rho op^dag acting on the row-major vec(rho)."""
-    dim = ops[0].shape[0]
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for op in ops:
-        out += np.kron(op, op.conj())
-    return out
-
-
 def _delta_superop(c1, c2, extended: bool) -> np.ndarray:
-    if extended:
-        return _superop(_extended_ops(c1)) - _superop(_extended_ops(c2))
-    return _superop(_ops(c1)) - _superop(_ops(c2))
+    return channels.superoperator(c1, extended) - channels.superoperator(c2, extended)
 
 
 def _delta_batch(lmat: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -159,26 +150,19 @@ def _delta_batch(lmat: np.ndarray, states: np.ndarray) -> np.ndarray:
     return d.reshape(-1, dim, dim)
 
 
+def _delta(c1, c2, psi, extended: bool) -> np.ndarray:
+    d = _delta_batch(_delta_superop(c1, c2, extended), psi.vector[None, :])[0]
+    return 0.5 * (d + d.conj().T)
+
+
 def delta_single(c1, c2, psi: PureState2) -> np.ndarray:
     """Difference of the two channel outputs on a single-qubit probe."""
-    rho = psi.density()
-    d = np.zeros((2, 2), dtype=complex)
-    for op in _ops(c1):
-        d += op @ rho @ op.conj().T
-    for op in _ops(c2):
-        d -= op @ rho @ op.conj().T
-    return 0.5 * (d + d.conj().T)
+    return _delta(c1, c2, psi, extended=False)
 
 
 def delta_entangled(c1, c2, psi: PureState4) -> np.ndarray:
     """Difference of the two extended-channel outputs on a two-qubit probe."""
-    rho = psi.density()
-    d = np.zeros((4, 4), dtype=complex)
-    for op in _extended_ops(c1):
-        d += op @ rho @ op.conj().T
-    for op in _extended_ops(c2):
-        d -= op @ rho @ op.conj().T
-    return 0.5 * (d + d.conj().T)
+    return _delta(c1, c2, psi, extended=True)
 
 
 def _tracenorm2_batch(d: np.ndarray) -> np.ndarray:
@@ -193,45 +177,72 @@ def _tracenorm4_batch(d: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
 
 
-def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Deterministic golden-section maximization of a scalar function."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(_GOLDEN_ITERS):
-        if hi - lo < 1e-13:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-    x = 0.5 * (lo + hi)
-    return x, fn(x)
+def _ascend(values, starts: np.ndarray, ranges: list, refine_tol: float):
+    """Lockstep coordinate-golden ascent from every row of ``starts``.
 
-
-def _coordinate_ascent(fn, point: list, ranges: list, refine_tol: float):
-    """Golden-section sweeps over coordinates until a sweep stops helping."""
-    best = fn(point)
+    ``values`` maps a (k, d) array of chart points to their k objective
+    values.  A sweep runs a golden-section search along each coordinate in
+    turn; all running starts advance together, one batched ``values`` call
+    per golden step.  A coordinate moves to the final bracket midpoint only
+    when that improves the start's best value.  Each start stops after its
+    first sweep that gains less than ``refine_tol``, or at the sweep cap.
+    Returns the best values and the points reaching them.
+    """
+    points = np.array(starts, dtype=float)
+    best = values(points)
+    running = np.arange(len(points))
     for _ in range(_MAX_SWEEPS):
-        gained = 0.0
-        for k, (lo, hi) in enumerate(ranges):
-            def along(x, k=k):
-                trial = list(point)
-                trial[k] = x
-                return fn(trial)
+        pts, top = points[running], best[running]
+        gained = np.zeros(len(running))
+        for j, (lo_j, hi_j) in enumerate(ranges):
 
-            x, v = _golden_max(along, lo, hi)
-            if v > best:
-                gained += v - best
-                best = v
-                point[k] = x
-        if gained < refine_tol:
+            def value_at(x, j=j):
+                trial = pts.copy()
+                trial[:, j] = x
+                return values(trial)
+
+            lo = np.full(len(running), float(lo_j))
+            hi = np.full(len(running), float(hi_j))
+            x1 = hi - _GOLDEN * (hi - lo)
+            x2 = lo + _GOLDEN * (hi - lo)
+            f1, f2 = value_at(x1), value_at(x2)
+            for _ in range(_GOLDEN_ITERS):
+                # keep the bracket side of the better probe, probe once more
+                right = f1 < f2
+                lo = np.where(right, x1, lo)
+                hi = np.where(right, hi, x2)
+                width = hi - lo
+                x = np.where(right, lo + _GOLDEN * width, hi - _GOLDEN * width)
+                f = value_at(x)
+                x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
+                f1, f2 = np.where(right, f2, f), np.where(right, f, f1)
+            xmid = 0.5 * (lo + hi)
+            vmid = value_at(xmid)
+            improve = vmid > top
+            pts[improve, j] = xmid[improve]
+            gained = np.where(improve, gained + vmid - top, gained)
+            top = np.maximum(top, vmid)
+        points[running], best[running] = pts, top
+        running = running[gained >= refine_tol]
+        if running.size == 0:
             break
-    return best, point
+    return best, points
+
+
+def _grid_ascend(values, grid: np.ndarray, ranges: list, refine_tol: float):
+    """Best point of ``grid``, refined by :func:`_ascend` from there."""
+    vals = values(grid)
+    i = int(np.argmax(vals))
+    best, points = _ascend(values, grid[i : i + 1], ranges, refine_tol)
+    return max(float(best[0]), float(vals[i])), points[0]
+
+
+def _bloch_states(params: np.ndarray) -> np.ndarray:
+    """Bloch chart: polar angle in [0, pi], azimuth in [0, 2 pi)."""
+    polar, azim = params[:, 0], params[:, 1]
+    return np.stack(
+        [np.cos(polar / 2.0), np.exp(1j * azim) * np.sin(polar / 2.0)], axis=1
+    )
 
 
 def brute_max_single(c1, c2, cfg: SearchConfig = DEFAULT_CONFIG) -> DistanceResult:
@@ -241,64 +252,40 @@ def brute_max_single(c1, c2, cfg: SearchConfig = DEFAULT_CONFIG) -> DistanceResu
     golden-section coordinate refinement from the best grid point.
     """
     lmat = _delta_superop(c1, c2, extended=False)
+
+    def values(params: np.ndarray) -> np.ndarray:
+        return _tracenorm2_batch(_delta_batch(lmat, _bloch_states(params)))
+
     n = cfg.grid_points
     polar = np.linspace(0.0, math.pi, n)
     azim = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    pg, ag = np.meshgrid(polar, azim, indexing="ij")
-    pg, ag = pg.ravel(), ag.ravel()
-    states = np.stack([np.cos(pg / 2.0), np.exp(1j * ag) * np.sin(pg / 2.0)], axis=1)
-    vals = _tracenorm2_batch(_delta_batch(lmat, states))
-    i = int(np.argmax(vals))
-
-    def objective(pt):
-        state = np.array(
-            [[math.cos(pt[0] / 2.0),
-              math.sin(pt[0] / 2.0) * complex(math.cos(pt[1]), math.sin(pt[1]))]],
-            dtype=complex,
-        )
-        return float(_tracenorm2_batch(_delta_batch(lmat, state))[0])
-
-    best, (bp, ba) = _coordinate_ascent(
-        objective,
-        [float(pg[i]), float(ag[i])],
-        [(0.0, math.pi), (0.0, 2.0 * math.pi)],
-        cfg.refine_tol,
+    grid = np.stack([g.ravel() for g in np.meshgrid(polar, azim, indexing="ij")], axis=1)
+    best, (bp, _) = _grid_ascend(
+        values, grid, [(0.0, math.pi), (0.0, 2.0 * math.pi)], cfg.refine_tol
     )
-    best = max(best, float(vals[i]))
     return DistanceResult(best, math.sin(bp / 2.0) ** 2, "bloch-grid", n)
 
 
+def _schmidt_states(params: np.ndarray) -> np.ndarray:
+    """Schmidt chart: sqrt(1 - t) |00> + sqrt(t) |11>, t in [0, 1]."""
+    t = params[:, 0]
+    states = np.zeros((params.shape[0], 4), dtype=complex)
+    states[:, 0] = np.sqrt(1.0 - t)
+    states[:, 3] = np.sqrt(t)
+    return states
+
+
 def _restricted_engine(c1, c2, cfg: SearchConfig):
+    """Grid over t, then golden refinement, on the real Schmidt family."""
     lmat = _delta_superop(c1, c2, extended=True)
-    n = cfg.grid_points
-    tgrid = np.linspace(0.0, 1.0, n)
-    phases = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    tg, hg = np.meshgrid(tgrid, phases, indexing="ij")
-    tg, hg = tg.ravel(), hg.ravel()
-    states = np.zeros((tg.size, 4), dtype=complex)
-    states[:, 0] = np.sqrt(1.0 - tg)
-    states[:, 3] = np.sqrt(tg) * np.exp(1j * hg)
-    vals = _tracenorm4_batch(_delta_batch(lmat, states))
-    i = int(np.argmax(vals))
 
-    def objective(pt):
-        t, eta = pt
-        state = np.zeros((1, 4), dtype=complex)
-        state[0, 0] = math.sqrt(1.0 - t)
-        state[0, 3] = math.sqrt(t) * complex(math.cos(eta), math.sin(eta))
-        return float(_tracenorm4_batch(_delta_batch(lmat, state))[0])
+    def values(params: np.ndarray) -> np.ndarray:
+        return _tracenorm4_batch(_delta_batch(lmat, _schmidt_states(params)))
 
-    best, (bt, be) = _coordinate_ascent(
-        objective,
-        [float(tg[i]), float(hg[i])],
-        [(0.0, 1.0), (0.0, 2.0 * math.pi)],
-        cfg.refine_tol,
-    )
-    best = max(best, float(vals[i]))
-    state = PureState4.schmidt(
-        math.sqrt(1.0 - bt), math.sqrt(bt) * complex(math.cos(be), math.sin(be))
-    )
-    return best, bt, state
+    grid = np.linspace(0.0, 1.0, cfg.grid_points)[:, None]
+    best, (bt,) = _grid_ascend(values, grid, [(0.0, 1.0)], cfg.refine_tol)
+    state = PureState4.schmidt(math.sqrt(1.0 - bt), math.sqrt(bt))
+    return best, float(bt), state
 
 
 def _chart_states(params: np.ndarray) -> np.ndarray:
@@ -317,12 +304,8 @@ _CHART_RANGES = [(0.0, math.pi / 2.0)] * 3 + [(0.0, 2.0 * math.pi)] * 3
 
 
 def _full_engine(c1, c2, cfg: SearchConfig):
-    """Multistart golden-section ascent on the 6-parameter state manifold.
-
-    All starts advance in lockstep so every objective call is one batched
-    channel application; the reduction takes the maximum with the lowest
-    start index winning ties.
-    """
+    """Seeded multistart ascent on the 6-parameter state manifold; the
+    lowest start index wins ties."""
     lmat = _delta_superop(c1, c2, extended=True)
 
     def values(params: np.ndarray) -> np.ndarray:
@@ -330,43 +313,10 @@ def _full_engine(c1, c2, cfg: SearchConfig):
 
     rng = np.random.default_rng(np.random.PCG64(cfg.rng_seed))
     k = cfg.multistarts
-    params = np.empty((k, 6))
+    starts = np.empty((k, 6))
     for j, (lo, hi) in enumerate(_CHART_RANGES):
-        params[:, j] = rng.uniform(lo, hi, size=k)
-    best = values(params)
-    for _ in range(_MAX_SWEEPS):
-        gained = np.zeros(k)
-        for j, (lo_j, hi_j) in enumerate(_CHART_RANGES):
-
-            def value_at(x, j=j):
-                trial = params.copy()
-                trial[:, j] = x
-                return values(trial)
-
-            lo = np.full(k, float(lo_j))
-            hi = np.full(k, float(hi_j))
-            x1 = hi - _GOLDEN * (hi - lo)
-            x2 = lo + _GOLDEN * (hi - lo)
-            f1, f2 = value_at(x1), value_at(x2)
-            for _ in range(_GOLDEN_ITERS):
-                move_right = f1 < f2
-                x1o, x2o, f1o, f2o = x1, x2, f1, f2
-                lo = np.where(move_right, x1o, lo)
-                hi = np.where(move_right, hi, x2o)
-                width = hi - lo
-                x1 = np.where(move_right, x2o, hi - _GOLDEN * width)
-                x2 = np.where(move_right, lo + _GOLDEN * width, x1o)
-                f_eval = value_at(np.where(move_right, x2, x1))
-                f1 = np.where(move_right, f2o, f_eval)
-                f2 = np.where(move_right, f_eval, f1o)
-            xmid = 0.5 * (lo + hi)
-            vmid = value_at(xmid)
-            improve = vmid > best
-            params[improve, j] = xmid[improve]
-            gained = np.where(improve, gained + vmid - best, gained)
-            best = np.maximum(best, vmid)
-        if float(np.max(gained)) < cfg.refine_tol:
-            break
+        starts[:, j] = rng.uniform(lo, hi, size=k)
+    best, params = _ascend(values, starts, _CHART_RANGES, cfg.refine_tol)
     i = int(np.argmax(best))
     state_vec = _chart_states(params[i : i + 1])[0]
     # fix global phase: largest-magnitude amplitude real positive
@@ -383,9 +333,10 @@ def brute_max_entangled(
 ) -> DistanceResult:
     """Maximize the extended-output trace distance over two-qubit probes.
 
-    restricted mode searches the family a0 |00> + a1 |11| (a0 real, a1
-    complex); full mode searches all pure two-qubit states by seeded
-    multistart ascent.
+    restricted mode searches the family sqrt(1 - t)|00> + sqrt(t)|11>, with
+    a1 real: a phase on |11> is a unitary on the reference qubit and leaves
+    the trace distance unchanged.  full mode searches all pure two-qubit
+    states by seeded multistart ascent.
     """
     if mode == "restricted":
         best, bt, _ = _restricted_engine(c1, c2, cfg)

@@ -1,12 +1,10 @@
-"""Exact-shape complex matrix arithmetic for dimensions 2 and 4.
+"""Validated Hermitian spectral routines for dimensions 2 and 4.
 
 Every operator in this package is either a single-qubit matrix (2x2) or a
-two-qubit matrix (4x4), so this module supports exactly those two shapes:
-products, conjugate transposes, Kronecker products, and Hermitian spectral
-routines.  Eigenvalues at dimension 2 come from the closed-form quadratic;
-at dimension 4 from a cyclic complex Jacobi iteration driven to a 1e-12
-off-diagonal residual.  All tolerances are fixed constants so test suites
-are reproducible.
+two-qubit matrix (4x4), so this module accepts exactly those two shapes.
+It checks Hermiticity within a fixed tolerance and takes eigenvalues and
+eigenvectors from LAPACK (``numpy.linalg.eigh``) at both sizes, the same
+solver the oracle's batched searches use.
 """
 
 from __future__ import annotations
@@ -14,11 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-JACOBI_RESIDUAL = 1e-12
-EQUALITY_TOL = 1e-10
 
 _SUPPORTED_DIMS = (2, 4)
-_MAX_JACOBI_SWEEPS = 60
 
 
 def as_matrix(a) -> np.ndarray:
@@ -31,33 +26,6 @@ def as_matrix(a) -> np.ndarray:
             f"supported dimensions are {_SUPPORTED_DIMS}, got {m.shape[0]}"
         )
     return m
-
-
-def multiply(a, b) -> np.ndarray:
-    """Standard matrix product; the two factors must have equal dimension."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 operators.
-
-    The result acts on the two-qubit space with the canonical basis order
-    |00>, |01>, |10>, |11>, first factor on the left qubit.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] != 2 or b.shape[0] != 2:
-        raise ValueError("kron expects two 2x2 factors")
-    return np.kron(a, b)
 
 
 def check_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -82,83 +50,9 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
     on the spanned eigenspaces.
     """
     h = check_hermitian(h)
-    h = 0.5 * (h + h.conj().T)
-    if h.shape[0] == 2:
-        return _eigensystem2(h)
-    return _jacobi_eigensystem(h)
+    return np.linalg.eigh(0.5 * (h + h.conj().T))
 
 
 def trace_norm(h) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     return float(np.sum(np.abs(hermitian_eigenvalues(h))))
-
-
-def _eigensystem2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = h[0, 0].real
-    d = h[1, 1].real
-    b = h[0, 1]
-    mean = 0.5 * (a + d)
-    disc = np.hypot(0.5 * (a - d), abs(b))
-    vals = np.array([mean - disc, mean + disc])
-    if abs(b) == 0.0:
-        vecs = np.eye(2, dtype=complex)
-        if a > d:
-            vecs = vecs[:, ::-1]
-        return vals, vecs
-    # (b, w - a) solves (h - w I) v = 0 for either root w.
-    v_lo = np.array([b, vals[0] - a], dtype=complex)
-    v_hi = np.array([b, vals[1] - a], dtype=complex)
-    v_lo /= np.linalg.norm(v_lo)
-    v_hi /= np.linalg.norm(v_hi)
-    return vals, np.column_stack([v_lo, v_hi])
-
-
-def _offdiagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diagonal(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def _jacobi_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi sweeps; converges fast at this fixed tiny size."""
-    n = h.shape[0]
-    a = h.copy()
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        if _offdiagonal_norm(a) <= JACOBI_RESIDUAL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                phase = apq / abs(apq)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Rotation U = D J D^dag with D = diag(1, conj(phase)) in the
-                # (p, q) plane; J is the real Jacobi rotation for the
-                # phase-stripped submatrix [[app, |apq|], [|apq|, aqq]].
-                up = a[:, p].copy()
-                uq = a[:, q].copy()
-                a[:, p] = c * up - s * np.conj(phase) * uq
-                a[:, q] = s * phase * up + c * uq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi eigensolver failed to reach residual")
-    vals = np.real(np.diagonal(a))
-    order = np.argsort(vals, kind="stable")
-    return vals[order].copy(), v[:, order].copy()

@@ -178,6 +178,39 @@ class TestApplyExtended:
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+class TestSuperoperator:
+    def test_matches_kraus_sum(self):
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            c = QubitChannel.mixture(
+                float(rng.uniform(0, 1)),
+                ExtremalChannel(*rng.uniform(0, math.pi, 2)),
+                ExtremalChannel(*rng.uniform(0, math.pi, 2)),
+            )
+            for dim, extended in ((2, False), (4, True)):
+                x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                ops = channels.kraus_operators(c)
+                if extended:
+                    ops = [np.kron(np.eye(2), op) for op in ops]
+                expected = sum(op @ x @ op.conj().T for op in ops)
+                smat = channels.superoperator(c, extended)
+                out = (smat @ x.reshape(-1)).reshape(dim, dim)
+                assert np.max(np.abs(out - expected)) < 1e-12
+
+    def test_extended_identity_on_reference_qubit(self):
+        # id (x) X-flip: the channel acts on the right qubit of |ab>
+        flip = QubitChannel.extremal(math.pi / 2, math.pi / 2)
+        smat = channels.superoperator(flip, extended=True)
+        for a in range(2):
+            for b in range(2):
+                ket = np.zeros(4)
+                ket[2 * a + b] = 1.0
+                flipped = np.zeros(4)
+                flipped[2 * a + 1 - b] = 1.0
+                out = smat @ np.outer(ket, ket).reshape(-1)
+                np.testing.assert_allclose(out, np.outer(flipped, flipped).reshape(-1))
+
+
 class TestAffineMap:
     def test_identity(self):
         m = channels.affine_map(QubitChannel.extremal(0, 0))

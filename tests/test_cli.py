@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -197,6 +198,25 @@ class TestVerify:
         assert rec["report"]["passed"] is True
         assert len(rec["report"]["cases"]) == 3
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_rejected(self, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "verify", "--mode", "tree", "--samples", samples
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "samples" in err
+
+    def test_tree_run_retaining_nothing_fails(self, capsys):
+        # the single sample of seed 4 lies within the slack of a tree split
+        code, out, _ = run_cli(
+            capsys, "verify", "--mode", "tree", "--samples", "1", "--seed", "4"
+        )
+        assert code == 2
+        report = json.loads(out)["report"]
+        assert report["retained"] == 0 and report["discarded"] == 1
+        assert report["passed"] is False
+
 
 class TestExitCodes:
     def test_verification_failure_exits_2(self, capsys, monkeypatch):
@@ -267,3 +287,26 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["inputs"]["probe"] == "pair"
+
+    def test_huge_amplitudes_normalize_without_overflow(self, capsys):
+        _, expected, _ = run_cli(
+            capsys, "simulate", "identity", "ad(1)", "qubit(1,1)",
+            "--trials", "1000",
+        )
+        code, out, err = run_cli(
+            capsys, "simulate", "identity", "ad(1)", "qubit(1e308,1e308)",
+            "--trials", "1000",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["distance"] == json.loads(expected)["distance"]
+
+    @pytest.mark.parametrize("probe", ["qubit(nan,1)", "qubit(1,inf)", "pair(1,0,0,nanj)"])
+    def test_non_finite_amplitude_rejected(self, capsys, probe):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "simulate", "identity", "ad(1)", probe)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "non-finite" in err
+        assert not caught

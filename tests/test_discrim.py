@@ -14,6 +14,14 @@ def random_params(rng) -> DiscrimParams:
 
 
 class TestComputeParams:
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, bad):
+        values = [0.0, 0.0, 0.0, 0.0]
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DiscrimParams(*values)
+
     def test_full_damping_vs_identity(self):
         p = discrim.compute_params(
             QubitChannel.extremal(math.pi / 2, 0), QubitChannel.extremal(0, 0)

@@ -92,6 +92,19 @@ class TestDeltas:
             )
             assert abs(np.trace(oracle.delta_entangled(c1, c2, probe))) < 1e-10
 
+    def test_schmidt_phase_leaves_trace_norm_unchanged(self):
+        # a phase on |11> is diag(1, e^{i eta}) on the reference qubit, which
+        # commutes with id (x) N: the restricted search needs no phase axis
+        rng = np.random.default_rng(58)
+        for _ in range(10):
+            c1, c2 = random_pair(rng, mixtures=True)
+            t = rng.uniform(0, 1)
+            norms = []
+            for eta in np.linspace(0, 2 * math.pi, 7):
+                probe = PureState4.schmidt(math.sqrt(1 - t), math.sqrt(t) * np.exp(1j * eta))
+                norms.append(smallmat.trace_norm(oracle.delta_entangled(c1, c2, probe)))
+            assert max(norms) - min(norms) < 1e-12
+
     def test_schmidt_probe_block_structure(self):
         # the output difference on a0|00> + a1|11> consists of a block on
         # span{|00>,|11>} and a block on span{|01>,|10>} with entries set

@@ -3,74 +3,7 @@ import pytest
 
 from entdisc import smallmat
 
-I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-class TestMultiply:
-    def test_identity(self):
-        np.testing.assert_allclose(smallmat.multiply(I2, X), X)
-
-    def test_pauli_involution(self):
-        np.testing.assert_allclose(smallmat.multiply(X, X), I2)
-
-    def test_kraus_block(self):
-        # K0 of the (phi=pi/3, theta=0) channel against its own dagger
-        k0 = np.diag([1.0, 0.5]).astype(complex)
-        np.testing.assert_allclose(
-            smallmat.multiply(k0, smallmat.dagger(k0)), np.diag([1.0, 0.25])
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            smallmat.multiply(I2, np.eye(4))
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            smallmat.multiply(np.eye(3), np.eye(3))
-
-
-class TestDagger:
-    def test_hermitian_fixed_point(self):
-        np.testing.assert_allclose(smallmat.dagger(X), X)
-
-    def test_definition(self):
-        m = np.array([[0, 1j], [0, 0]])
-        np.testing.assert_allclose(smallmat.dagger(m), [[0, 0], [-1j, 0]])
-
-    def test_real_matrix_transposes(self):
-        k1 = np.array([[0.0, 0.8], [0.3, 0.0]], dtype=complex)
-        np.testing.assert_allclose(smallmat.dagger(k1), k1.T)
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_allclose(smallmat.kron(I2, I2), np.eye(4))
-
-    def test_identity_with_x(self):
-        expected = np.zeros((4, 4))
-        expected[0, 1] = expected[1, 0] = 1
-        expected[2, 3] = expected[3, 2] = 1
-        np.testing.assert_allclose(smallmat.kron(I2, X), expected)
-
-    def test_zz(self):
-        np.testing.assert_allclose(smallmat.kron(Z, Z), np.diag([1, -1, -1, 1]))
-
-    def test_rejects_non_qubit_factors(self):
-        with pytest.raises(ValueError):
-            smallmat.kron(np.eye(4), I2)
-
-    def test_mixed_product_rule(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a, b, c, d = (
-                rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                for _ in range(4)
-            )
-            lhs = smallmat.multiply(smallmat.kron(a, b), smallmat.kron(c, d))
-            rhs = smallmat.kron(smallmat.multiply(a, c), smallmat.multiply(b, d))
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def _random_hermitian(rng, dim):
