@@ -21,10 +21,9 @@ PAIRS = [
 for label, lit1, lit2 in PAIRS:
     c1 = channels.parse_channel(lit1)
     c2 = channels.parse_channel(lit2)
-    p = discrim.compute_params(c1, c2)
-    single = discrim.max_distance_single(p)
-    ent = discrim.max_distance_entangled(p)
     cls = discrim.classify_pair(c1, c2)
+    p = cls.params
+    single, ent = p.single, p.entangled
     print(f"== {label}")
     print(f"   channels: {lit1}  vs  {lit2}")
     print(

@@ -16,13 +16,12 @@ SEED = 20260808
 
 c1 = channels.parse_channel("extremal(0,0.6)")
 c2 = channels.parse_channel(f"extremal(0,{math.pi/2 + 0.1})")
-p = discrim.compute_params(c1, c2)
 cls = discrim.classify_pair(c1, c2)
 print(f"channels: {channels.format_channel(c1)} vs {channels.format_channel(c2)}")
 print(f"classifier verdict: {'useful' if cls.useful else 'not useful'} [{cls.node}]\n")
 
 # single-qubit strategy: best probe weight from the closed form
-single = discrim.max_distance_single(p)
+single = cls.params.single
 t = single.arg
 probe1 = oracle.PureState2(complex(math.sqrt(1 - t)), complex(math.sqrt(t)))
 delta1 = oracle.delta_single(c1, c2, probe1)

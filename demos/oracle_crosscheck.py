@@ -23,14 +23,12 @@ for k in range(SAMPLES):
         c1, c2 = checks.sample_extremal(rng), checks.sample_extremal(rng)
     else:
         c1, c2 = checks.sample_mixture(rng), checks.sample_mixture(rng)
-    p = discrim.compute_params(c1, c2)
-    closed_s = discrim.max_distance_single(p).value
-    closed_e = discrim.max_distance_entangled(p).value
+    cls = discrim.classify_pair(c1, c2)
+    closed_s, closed_e = cls.params.single.value, cls.params.entangled.value
     brute_s = oracle.brute_max_single(c1, c2, cfg).value
     brute_e = oracle.brute_max_entangled(c1, c2, cfg).value
     worst_single = max(worst_single, abs(closed_s - brute_s))
     worst_ent = max(worst_ent, abs(closed_e - brute_e))
-    cls = discrim.classify_pair(c1, c2)
     if cls.margins and min(abs(v) for v in cls.margins.values()) < 1e-3:
         continue
     retained += 1

@@ -306,3 +306,8 @@ def format_channel(c: QubitChannel) -> str:
         f"mix({c.lam:.17g};{c.first.phi:.17g},{c.first.theta:.17g};"
         f"{c.second.phi:.17g},{c.second.theta:.17g})"
     )
+
+
+def format_pair(c1, c2) -> dict:
+    """The two channel literals of a pair, as report and record inputs."""
+    return {"channel1": format_channel(c1), "channel2": format_channel(c2)}

@@ -54,13 +54,6 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
 
-def _pair_inputs(c1, c2) -> dict:
-    return {
-        "channel1": channels.format_channel(c1),
-        "channel2": channels.format_channel(c2),
-    }
-
-
 def check_lemma1(
     samples: int, seed: int, cfg: oracle.SearchConfig = oracle.DEFAULT_CONFIG
 ) -> dict:
@@ -71,15 +64,13 @@ def check_lemma1(
     failures = []
     for _ in range(samples):
         c1, c2 = sample_extremal(rng), sample_extremal(rng)
-        p = discrim.compute_params(c1, c2)
-        closed = discrim.max_distance_single(p).value
+        closed = discrim.compute_params(c1, c2).single.value
         brute = oracle.brute_max_single(c1, c2, cfg).value
         dev = abs(closed - brute)
         max_dev = max(max_dev, dev)
         if dev > LEMMA_TOL:
-            failures.append(
-                {**_pair_inputs(c1, c2), "closed": closed, "brute": brute, "dev": dev}
-            )
+            record = {"closed": closed, "brute": brute, "dev": dev}
+            failures.append({**channels.format_pair(c1, c2), **record})
     return {
         "mode": "lemma1",
         "samples": samples,
@@ -95,29 +86,31 @@ def check_lemma2(
     samples: int, seed: int, cfg: oracle.SearchConfig = oracle.DEFAULT_CONFIG
 ) -> dict:
     """Closed-form entangled maximum vs restricted search, and the claim
-    that searching outside the |00>/|11> plane never helps."""
+    that searching outside the |00>/|11> plane never helps; counts the
+    pairs whose full search stopped at its sweep cap (``full_unconverged``)."""
     _require_samples(samples)
     rng = _rng(seed)
     max_dev = 0.0
     max_excess = -math.inf
+    unconverged = 0
     failures = []
     for _ in range(samples):
         c1, c2 = sample_extremal(rng), sample_extremal(rng)
-        p = discrim.compute_params(c1, c2)
-        closed = discrim.max_distance_entangled(p).value
+        closed = discrim.compute_params(c1, c2).entangled.value
         restricted = oracle.brute_max_entangled(c1, c2, cfg, mode="restricted").value
-        full = oracle.brute_max_entangled(c1, c2, cfg, mode="full").value
+        full = oracle.brute_max_entangled(c1, c2, cfg, mode="full")
+        unconverged += not full.converged
         dev = abs(closed - restricted)
-        excess = full - restricted
+        excess = full.value - restricted
         max_dev = max(max_dev, dev)
         max_excess = max(max_excess, excess)
         if dev > LEMMA_TOL or excess > LEMMA_TOL:
             failures.append(
                 {
-                    **_pair_inputs(c1, c2),
+                    **channels.format_pair(c1, c2),
                     "closed": closed,
                     "restricted": restricted,
-                    "full": full,
+                    "full": full.value,
                 }
             )
     return {
@@ -127,6 +120,7 @@ def check_lemma2(
         "tolerance": LEMMA_TOL,
         "max_deviation": max_dev,
         "max_full_excess": max_excess,
+        "full_unconverged": unconverged,
         "failures": failures,
         "passed": not failures,
     }
@@ -147,9 +141,8 @@ def check_quasi_extreme(
         gap = ent - single
         max_gap = max(max_gap, gap)
         if gap > LEMMA_TOL:
-            failures.append(
-                {**_pair_inputs(c1, c2), "single": single, "entangled": ent, "gap": gap}
-            )
+            record = {"single": single, "entangled": ent, "gap": gap}
+            failures.append({**channels.format_pair(c1, c2), **record})
     return {
         "mode": "quasi-extreme",
         "samples": samples,
@@ -197,7 +190,7 @@ def check_tree(
         if oracle_useful != cls.useful:
             failures.append(
                 {
-                    **_pair_inputs(c1, c2),
+                    **channels.format_pair(c1, c2),
                     "node": cls.node,
                     "classified_useful": cls.useful,
                     "single": single,
@@ -247,11 +240,6 @@ def montecarlo_cases() -> list:
     ]
 
 
-def _best_single_probe(c1, c2, p) -> oracle.PureState2:
-    t = discrim.max_distance_single(p).arg
-    return oracle.PureState2(complex(math.sqrt(1.0 - t)), complex(math.sqrt(t)))
-
-
 def check_montecarlo(
     trials: int, seed: int, cfg: oracle.SearchConfig = oracle.DEFAULT_CONFIG
 ) -> dict:
@@ -259,13 +247,13 @@ def check_montecarlo(
     cases = []
     failures = []
     for k, (name, c1, c2) in enumerate(montecarlo_cases()):
-        p = discrim.compute_params(c1, c2)
         cls = discrim.classify_pair(c1, c2)
         if cls.useful:
-            probe, res = oracle.optimal_entangled_probe(c1, c2, cfg)
+            probe, _ = oracle.optimal_entangled_probe(c1, c2, cfg)
             delta = oracle.delta_entangled(c1, c2, probe)
         else:
-            probe = _best_single_probe(c1, c2, p)
+            t = cls.params.single.arg
+            probe = oracle.PureState2(complex(math.sqrt(1.0 - t)), complex(math.sqrt(t)))
             delta = oracle.delta_single(c1, c2, probe)
         distance = smallmat.trace_norm(delta)
         theo = discrim.success_probability(distance)
@@ -280,7 +268,7 @@ def check_montecarlo(
             ok = abs(z) <= SIGMA_BAND
         record = {
             "case": name,
-            **_pair_inputs(c1, c2),
+            **channels.format_pair(c1, c2),
             "distance": distance,
             "theoretical": theo,
             "empirical": emp,

@@ -149,10 +149,7 @@ def cmd_params(args) -> int:
     c1 = channels.parse_channel(args.channel1)
     c2 = channels.parse_channel(args.channel2)
     rec = _base_record("params")
-    rec["inputs"] = {
-        "channel1": channels.format_channel(c1),
-        "channel2": channels.format_channel(c2),
-    }
+    rec["inputs"] = channels.format_pair(c1, c2)
     rec["params"] = _params_dict(discrim.compute_params(c1, c2))
     _print_record(rec)
     return EXIT_OK
@@ -161,21 +158,17 @@ def cmd_params(args) -> int:
 def cmd_classify(args) -> int:
     c1 = channels.parse_channel(args.channel1)
     c2 = channels.parse_channel(args.channel2)
-    p = discrim.compute_params(c1, c2)
-    single = discrim.max_distance_single(p)
-    ent = discrim.max_distance_entangled(p)
+    cls = discrim.classify_pair(c1, c2)
+    p = cls.params
     rec = _base_record("classify")
-    rec["inputs"] = {
-        "channel1": channels.format_channel(c1),
-        "channel2": channels.format_channel(c2),
-    }
+    rec["inputs"] = channels.format_pair(c1, c2)
     rec["params"] = _params_dict(p)
-    rec["single"] = _distance_dict(single)
-    rec["entangled"] = _distance_dict(ent)
-    rec["classification"] = _classification_dict(discrim.classify_pair(c1, c2))
-    rec["success_single"] = discrim.success_probability(single.value)
-    rec["success_entangled"] = discrim.success_probability(ent.value)
-    rec["gap"] = ent.value - single.value
+    rec["single"] = _distance_dict(p.single)
+    rec["entangled"] = _distance_dict(p.entangled)
+    rec["classification"] = _classification_dict(cls)
+    rec["success_single"] = discrim.success_probability(p.single.value)
+    rec["success_entangled"] = discrim.success_probability(p.entangled.value)
+    rec["gap"] = p.entangled.value - p.single.value
     _print_record(rec)
     return EXIT_OK
 
@@ -231,49 +224,37 @@ def cmd_sweep(args) -> int:
         _, start, stop, steps = axis
         return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
-    rows = []
+    def cells(v1_values, v2_values):
+        names = [a[0] for a in axes]
+        for v1 in v1_values:
+            for v2 in v2_values:
+                values = fixed | dict(zip(names, (v1, v2)))
+                yield v1, v2, _sweep_channels(values)
+
     grids = [axis_values(a) for a in axes]
-    first = grids[0]
     second = grids[1] if len(axes) == 2 else [None]
-    for v1 in first:
-        for v2 in second:
-            values = dict(fixed)
-            values[axes[0][0]] = v1
-            if v2 is not None:
-                values[axes[1][0]] = v2
-            c1, c2 = _sweep_channels(values)
-            p = discrim.compute_params(c1, c2)
-            single = discrim.max_distance_single(p).value
-            ent = discrim.max_distance_entangled(p).value
-            cls = discrim.classify_pair(c1, c2)
-            rows.append(
-                ",".join(
-                    [
-                        _fmt_float(v1),
-                        "" if v2 is None else _fmt_float(v2),
-                        _fmt_float(p.alpha),
-                        _fmt_float(p.beta),
-                        _fmt_float(p.gamma1),
-                        _fmt_float(p.gamma2),
-                        "true" if cls.useful else "false",
-                        cls.node,
-                        "true" if cls.boundary else "false",
-                        _fmt_float(single),
-                        _fmt_float(ent),
-                        _fmt_float(ent - single),
-                    ]
-                )
-            )
+    # The axes are linear and every parameter range is an interval, so the
+    # channels at the grid's corners validate every cell before any output.
+    list(cells([grids[0][0], grids[0][-1]], [second[0], second[-1]]))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            for v1, v2, (c1, c2) in cells(grids[0], second):
+                cls = discrim.classify_pair(c1, c2)
+                p = cls.params
+                single, ent = p.single.value, p.entangled.value
+                row = (
+                    v1, "" if v2 is None else v2, p.alpha, p.beta, p.gamma1,
+                    p.gamma2, cls.useful, cls.node, cls.boundary,
+                    single, ent, ent - single,
+                )
+                fields = (x if isinstance(x, str) else _emit_json(x) for x in row)
+                fh.write(",".join(fields) + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write {args.out!r}: {exc}") from None
     rec = _base_record("sweep")
     rec["out"] = args.out
-    rec["rows"] = len(rows)
+    rec["rows"] = len(grids[0]) * len(second)
     _print_record(rec)
     return EXIT_OK
 
@@ -322,8 +303,7 @@ def cmd_simulate(args) -> int:
     sigma = 0.5 / math.sqrt(args.trials)
     rec = _base_record("simulate", seed=args.seed)
     rec["inputs"] = {
-        "channel1": channels.format_channel(c1),
-        "channel2": channels.format_channel(c2),
+        **channels.format_pair(c1, c2),
         "probe": probe_kind,
         "optimal": bool(args.optimal),
         "trials": args.trials,

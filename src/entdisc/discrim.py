@@ -21,6 +21,9 @@ have closed forms (with one scalar scan in the genuinely two-radical
 cases), and the comparison collapses to the decision tree implemented by
 :func:`classify`.
 
+One analysis per pair: :func:`classify_pair` returns the parameters with the
+verdict, which compute each maximum when it is first read and keep it.
+
 Two corrections to the usual closed forms, both confirmed against the
 brute-force oracle in this package: the interior stationary point of g is
 the maximizer only when it actually lies in [0, 1] (otherwise the best
@@ -72,6 +75,25 @@ class DiscrimParams:
         """alpha or beta, whichever has the larger magnitude (alpha wins ties)."""
         return self.alpha if abs(self.alpha) >= abs(self.beta) else self.beta
 
+    @property
+    def single(self) -> DistanceResult:
+        """:func:`max_distance_single`, computed on first read and kept."""
+        return self._memo("_single", max_distance_single)
+
+    @property
+    def entangled(self) -> DistanceResult:
+        """:func:`max_distance_entangled`, computed on first read and kept."""
+        return self._memo("_entangled", max_distance_entangled)
+
+    _single = _entangled = None
+
+    def _memo(self, name: str, compute):
+        # Not functools.cached_property: reading self.__dict__ first takes the
+        # instance off CPython's fast attribute path, slowing the scan by ~10%.
+        if getattr(self, name) is None:
+            object.__setattr__(self, name, compute(self))
+        return getattr(self, name)
+
 
 @dataclass(frozen=True)
 class DistanceResult:
@@ -81,13 +103,17 @@ class DistanceResult:
     arg: float
     branch: str
     scan_resolution: int = 0
+    converged: bool = True  # False when a search stopped at its iteration cap
 
 
 @dataclass
 class Classification:
+    """A tree verdict with the parameters it was decided on."""
+
     useful: bool
     node: str
     boundary: bool
+    params: DiscrimParams
     margins: dict = field(default_factory=dict)
 
 
@@ -291,7 +317,7 @@ def classify(p: DiscrimParams) -> Classification:
     """Walk the decision tree on (alpha, beta, gamma1, gamma2).
 
     Records the signed slack of every inequality tested along the path;
-    useful verdicts additionally record the closed-form distance gap as
+    only useful verdicts read the maxima of ``p``, to record their gap as
     ``value_gap``.  ``boundary`` is set when any recorded slack is within
     1e-9 of zero, because the strict/non-strict splits of the tree are
     measure-zero sets where floating-point inputs are unreliable.
@@ -304,10 +330,9 @@ def classify(p: DiscrimParams) -> Classification:
 
     def finish(useful: bool, node: str) -> Classification:
         if useful:
-            gap = max_distance_entangled(p).value - max_distance_single(p).value
-            m["value_gap"] = gap
+            m["value_gap"] = p.entangled.value - p.single.value
         boundary = any(abs(v) < EPS_BOUNDARY for v in m.values())
-        return Classification(useful, node, boundary, m)
+        return Classification(useful, node, boundary, p, m)
 
     m["root_ab_minus_gM2"] = ab - gM**2
     if gM**2 <= ab:
@@ -377,23 +402,23 @@ def classify(p: DiscrimParams) -> Classification:
 
 
 def classify_pair(c1, c2) -> Classification:
-    """Classify a channel pair; a pair of quasi-extreme point maps
-    short-circuits to the T1 verdict (side entanglement never helps there).
+    """Classify a channel pair; the verdict carries the pair's ``params``.
 
-    The shortcut applies only to channels that *are* quasi-extreme point
-    maps, not to proper mixtures of quasi-extreme components (those are
-    interior channels, e.g. Pauli channels, where entanglement can help).
+    A pair of quasi-extreme point maps short-circuits to the T1 verdict
+    (side entanglement never helps there), reading no maximum.  The
+    shortcut applies only to channels that *are* quasi-extreme point maps,
+    not to proper mixtures of quasi-extreme components (those are interior
+    channels, e.g. Pauli channels, where entanglement can help).
     """
 
     def quasi_point_map(c) -> bool:
         if isinstance(c, channels.ExtremalChannel):
             return channels.is_quasi_extreme(c)
-        if c.first == c.second or c.lam == 1.0:
+        if c.is_extremal:
             return channels.is_quasi_extreme(c.first)
-        if c.lam == 0.0:
-            return channels.is_quasi_extreme(c.second)
-        return False
+        return c.lam == 0.0 and channels.is_quasi_extreme(c.second)
 
+    p = compute_params(c1, c2)
     if quasi_point_map(c1) and quasi_point_map(c2):
-        return Classification(False, "T1", False, {})
-    return classify(compute_params(c1, c2))
+        return Classification(False, "T1", False, p)
+    return classify(p)

@@ -186,7 +186,8 @@ def _ascend(values, starts: np.ndarray, ranges: list, refine_tol: float):
     per golden step.  A coordinate moves to the final bracket midpoint only
     when that improves the start's best value.  Each start stops after its
     first sweep that gains less than ``refine_tol``, or at the sweep cap.
-    Returns the best values and the points reaching them.
+    Returns the best values, the points reaching them, and the indices of
+    the starts that stopped at the cap.
     """
     points = np.array(starts, dtype=float)
     best = values(points)
@@ -226,15 +227,15 @@ def _ascend(values, starts: np.ndarray, ranges: list, refine_tol: float):
         running = running[gained >= refine_tol]
         if running.size == 0:
             break
-    return best, points
+    return best, points, running
 
 
 def _grid_ascend(values, grid: np.ndarray, ranges: list, refine_tol: float):
     """Best point of ``grid``, refined by :func:`_ascend` from there."""
     vals = values(grid)
     i = int(np.argmax(vals))
-    best, points = _ascend(values, grid[i : i + 1], ranges, refine_tol)
-    return max(float(best[0]), float(vals[i])), points[0]
+    best, points, capped = _ascend(values, grid[i : i + 1], ranges, refine_tol)
+    return max(float(best[0]), float(vals[i])), points[0], capped.size == 0
 
 
 def _bloch_states(params: np.ndarray) -> np.ndarray:
@@ -260,10 +261,10 @@ def brute_max_single(c1, c2, cfg: SearchConfig = DEFAULT_CONFIG) -> DistanceResu
     polar = np.linspace(0.0, math.pi, n)
     azim = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     grid = np.stack([g.ravel() for g in np.meshgrid(polar, azim, indexing="ij")], axis=1)
-    best, (bp, _) = _grid_ascend(
+    best, (bp, _), converged = _grid_ascend(
         values, grid, [(0.0, math.pi), (0.0, 2.0 * math.pi)], cfg.refine_tol
     )
-    return DistanceResult(best, math.sin(bp / 2.0) ** 2, "bloch-grid", n)
+    return DistanceResult(best, math.sin(bp / 2.0) ** 2, "bloch-grid", n, converged)
 
 
 def _schmidt_states(params: np.ndarray) -> np.ndarray:
@@ -276,16 +277,17 @@ def _schmidt_states(params: np.ndarray) -> np.ndarray:
 
 
 def _restricted_engine(c1, c2, cfg: SearchConfig):
-    """Grid over t, then golden refinement, on the real Schmidt family."""
+    """Grid over t, then golden refinement, on the real Schmidt family;
+    returns the result and its probe state."""
     lmat = _delta_superop(c1, c2, extended=True)
 
     def values(params: np.ndarray) -> np.ndarray:
         return _tracenorm4_batch(_delta_batch(lmat, _schmidt_states(params)))
 
     grid = np.linspace(0.0, 1.0, cfg.grid_points)[:, None]
-    best, (bt,) = _grid_ascend(values, grid, [(0.0, 1.0)], cfg.refine_tol)
-    state = PureState4.schmidt(math.sqrt(1.0 - bt), math.sqrt(bt))
-    return best, float(bt), state
+    best, (bt,), converged = _grid_ascend(values, grid, [(0.0, 1.0)], cfg.refine_tol)
+    result = DistanceResult(best, float(bt), "restricted", cfg.grid_points, converged)
+    return result, PureState4.schmidt(math.sqrt(1.0 - bt), math.sqrt(bt))
 
 
 def _chart_states(params: np.ndarray) -> np.ndarray:
@@ -305,7 +307,7 @@ _CHART_RANGES = [(0.0, math.pi / 2.0)] * 3 + [(0.0, 2.0 * math.pi)] * 3
 
 def _full_engine(c1, c2, cfg: SearchConfig):
     """Seeded multistart ascent on the 6-parameter state manifold; the
-    lowest start index wins ties."""
+    lowest start index wins ties.  Returns the result and its probe state."""
     lmat = _delta_superop(c1, c2, extended=True)
 
     def values(params: np.ndarray) -> np.ndarray:
@@ -316,7 +318,7 @@ def _full_engine(c1, c2, cfg: SearchConfig):
     starts = np.empty((k, 6))
     for j, (lo, hi) in enumerate(_CHART_RANGES):
         starts[:, j] = rng.uniform(lo, hi, size=k)
-    best, params = _ascend(values, starts, _CHART_RANGES, cfg.refine_tol)
+    best, params, capped = _ascend(values, starts, _CHART_RANGES, cfg.refine_tol)
     i = int(np.argmax(best))
     state_vec = _chart_states(params[i : i + 1])[0]
     # fix global phase: largest-magnitude amplitude real positive
@@ -325,7 +327,9 @@ def _full_engine(c1, c2, cfg: SearchConfig):
     state_vec = state_vec / phase
     state_vec = state_vec / np.linalg.norm(state_vec)
     state = PureState4(tuple(complex(x) for x in state_vec))
-    return float(best[i]), state
+    converged = capped.size == 0
+    result = DistanceResult(float(best[i]), abs(state.a[3]) ** 2, "full", k, converged)
+    return result, state
 
 
 def brute_max_entangled(
@@ -339,13 +343,9 @@ def brute_max_entangled(
     states by seeded multistart ascent.
     """
     if mode == "restricted":
-        best, bt, _ = _restricted_engine(c1, c2, cfg)
-        return DistanceResult(best, bt, "restricted", cfg.grid_points)
+        return _restricted_engine(c1, c2, cfg)[0]
     if mode == "full":
-        best, state = _full_engine(c1, c2, cfg)
-        return DistanceResult(
-            best, abs(state.a[3]) ** 2, "full", cfg.multistarts
-        )
+        return _full_engine(c1, c2, cfg)[0]
     raise ValueError(f"mode must be 'restricted' or 'full', got {mode!r}")
 
 
@@ -353,8 +353,8 @@ def optimal_entangled_probe(
     c1, c2, cfg: SearchConfig = DEFAULT_CONFIG
 ) -> tuple[PureState4, DistanceResult]:
     """Best probe from the restricted search, with its achieved distance."""
-    best, bt, state = _restricted_engine(c1, c2, cfg)
-    return state, DistanceResult(best, bt, "restricted", cfg.grid_points)
+    result, state = _restricted_engine(c1, c2, cfg)
+    return state, result
 
 
 def helstrom(delta) -> Measurement:

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from entdisc import cli
+from entdisc import checks, cli, discrim, oracle
 
 PI = math.pi
 
@@ -310,3 +310,88 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "non-finite" in err
         assert not caught
+
+
+class TestOneAnalysisPerPair:
+    """Each closed-form maximum is computed at most once per pair, and
+    only when something reads it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"single": 0, "entangled": 0}
+
+        def counting(name, fn):
+            def wrapper(p):
+                counts[name] += 1
+                return fn(p)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            discrim, "max_distance_single",
+            counting("single", discrim.max_distance_single),
+        )
+        monkeypatch.setattr(
+            discrim, "max_distance_entangled",
+            counting("entangled", discrim.max_distance_entangled),
+        )
+        return counts
+
+    def test_classify_useful_pair_scans_once(self, capsys, calls):
+        code, out, _ = run_cli(
+            capsys, "classify", "extremal(0,0.6)", f"extremal(0,{PI/2 + 0.1})"
+        )
+        assert code == 0
+        assert json.loads(out)["classification"]["useful"] is True
+        assert calls == {"single": 1, "entangled": 1}
+
+    def test_sweep_scans_once_per_cell(self, tmp_path, capsys, calls):
+        code, out, _ = run_cli(
+            capsys, "sweep", "phi2=1.0", "theta2=0.2",
+            "--grid", "phi1=0.3:2.8:3", "--grid", "theta1=0.3:2.8:3",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert json.loads(out)["rows"] == 9
+        assert calls == {"single": 9, "entangled": 9}
+
+    def test_check_tree_scans_only_useful_samples(self, monkeypatch, calls):
+        verdicts = []
+        classify_pair = discrim.classify_pair
+
+        def recording(c1, c2):
+            cls = classify_pair(c1, c2)
+            verdicts.append(cls.useful)
+            return cls
+
+        monkeypatch.setattr(discrim, "classify_pair", recording)
+        cfg = oracle.SearchConfig(grid_points=64, multistarts=16, rng_seed=3)
+        rep = checks.check_tree(12, 3, cfg)
+        assert rep["retained"] + rep["discarded"] == len(verdicts) == 12
+        assert 0 < sum(verdicts) < 12
+        assert calls["entangled"] == sum(verdicts)
+
+    @pytest.mark.parametrize(
+        "grid, out",
+        [
+            ("phi1=0.3:2.8:3", "missing-dir/s.csv"),  # unwritable --out
+            ("phi1=0:4:5", "s.csv"),  # last cell outside [0, pi]
+        ],
+    )
+    def test_sweep_rejects_before_writing(self, tmp_path, capsys, calls, grid, out):
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--grid", grid, "--grid", "theta1=0:1:3",
+            "--out", str(tmp_path / out),
+        )
+        assert code == 1 and stdout == "" and err.startswith("error:")
+        assert calls == {"single": 0, "entangled": 0}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_rejects_out_of_range_fixed_value(self, tmp_path, capsys, calls):
+        code, _, _ = run_cli(
+            capsys, "sweep", "lambda2=1.5", "--grid", "phi1=0:1:3",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 1
+        assert calls == {"single": 0, "entangled": 0}
+        assert list(tmp_path.iterdir()) == []

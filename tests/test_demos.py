@@ -1,0 +1,32 @@
+"""Smoke runs of the demo scripts: each must exit 0.
+
+``region_map.py`` is left out: its 41x41 map of entangled maxima takes
+about 23 s, and ``entdisc sweep`` already runs the same computation in
+``test_cli.py``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo",
+    ["classify_showcase.py", "helstrom_experiment.py", "oracle_crosscheck.py"],
+)
+def test_demo_exits_zero(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

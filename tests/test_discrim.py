@@ -472,3 +472,90 @@ class TestClassify:
             )
             assert cls.useful == (gap > 1e-6)
         assert checked >= 100
+
+
+class TestSplitLeaves:
+    """Directed inputs for the leaves that random samples miss.
+
+    T2/B.2, T3/A.1 and T3/A.2 lie only within EPS_BOUNDARY of a split (the
+    exact sets are empty), so their inputs are built on it; T2/A.2 is also
+    built on the split it shares with T2/B.1.  A useful leaf must show a
+    clear closed-form gap, a leaf that is not useful none.
+    """
+
+    def assert_useful(self, p, node):
+        cls = discrim.classify(p)
+        assert cls.node == node and cls.useful
+        assert cls.params is p
+        assert cls.margins["value_gap"] == p.entangled.value - p.single.value
+        assert cls.margins["value_gap"] > 1e-6
+        return cls
+
+    def assert_not_useful(self, p, node):
+        cls = discrim.classify(p)
+        assert cls.node == node and not cls.useful
+        assert "value_gap" not in cls.margins
+        assert p.entangled.value - p.single.value <= 1e-9
+        return cls
+
+    def test_t2_a2_on_the_P_test_split(self):
+        # P (a+b) == g1^2 + g2^2: the strict test sends the split to A.2
+        a, b, g1 = 0.1, -0.95, 0.5
+        p = DiscrimParams(a, b, g1, math.sqrt(b * (a + b) - g1**2))
+        cls = self.assert_not_useful(p, "T2/A.2")
+        assert abs(cls.margins["t2_P_test"]) <= 1e-15
+        assert cls.boundary
+
+    def test_t2_a2_off_the_split(self):
+        cls = self.assert_not_useful(DiscrimParams(0.1, -0.95, 0.5, 0.08), "T2/A.2")
+        assert cls.margins["t2_P_test"] > 0.5
+
+    def test_t3_b2_off_resonance(self):
+        cls = self.assert_useful(DiscrimParams(-0.38, -0.15, 0.66, -0.18), "T3/B.2")
+        assert abs(cls.margins["t3_resonance"]) > 1.0
+
+    def test_t3_a1_alpha_within_eps_of_beta(self):
+        # alpha == beta sends the middle regime to T3/B.1 (alpha^2 > gm^2);
+        # A.1 needs |alpha| <= |gamma_m| with beta just above alpha
+        a = 0.3
+        cls = self.assert_not_useful(DiscrimParams(a, a + 0.9e-9, 0.8, a), "T3/A.1")
+        assert cls.boundary
+
+    def test_t3_a2_resonance_with_gamma_M_within_eps_of_alpha(self):
+        # On resonance with gamma_M == alpha the middle regime is empty
+        # (gamma_m^2 - alpha beta = alpha^2 x^2 / 8 for beta = alpha (1 - x))
+        # and the vertex margin is zero, so A.2 needs gamma_M a little above
+        # alpha and gamma_m a little below sqrt(alpha beta).
+        a, x = 0.5, 1e-5
+        b = a * (1.0 - x)
+        p = DiscrimParams(a, b, a + 0.5e-9, math.sqrt(a * b) - 1e-11)
+        assert p.gamma_m**2 < a * b < p.gamma_M**2
+        cls = self.assert_not_useful(p, "T3/A.2")
+        assert abs(cls.margins["t3_resonance"]) <= 1e-9
+        assert cls.margins["t3_vertex"] > 0.0
+
+    @staticmethod
+    def t2_b2_params():
+        # alpha == beta in the low regime is never useful (T2/A.4); B.2
+        # needs |alpha - beta| <= 1e-9 with ||g1| - |g2|| > 1e-9 and
+        # alpha^2 > |g1 g2| >= alpha beta, which fits only at small scale
+        a = 1e-4
+        b = a - 0.999999e-9
+        gm = math.sqrt(a * b) * (1.0 + 1e-15)
+        gM = a * a / gm * (1.0 - 1e-15)
+        return DiscrimParams(a, b, gM, gm)
+
+    def test_t2_b2_within_eps_of_alpha_eq_beta(self):
+        p = self.t2_b2_params()
+        cls = discrim.classify(p)
+        assert cls.node == "T2/B.2" and cls.useful and cls.boundary
+        assert cls.margins["value_gap"] == p.entangled.value - p.single.value
+        assert abs(cls.margins["value_gap"]) <= 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="T2/B.2 is reached only within EPS_BOUNDARY of alpha == beta, "
+        "where the closed-form gap is at rounding level",
+    )
+    def test_t2_b2_useful_verdict_has_a_gap(self):
+        self.assert_useful(self.t2_b2_params(), "T2/B.2")

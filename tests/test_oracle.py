@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entdisc import channels, discrim, oracle, smallmat
+from entdisc import channels, checks, discrim, oracle, smallmat
 from entdisc.channels import ExtremalChannel, QubitChannel
 from entdisc.oracle import Measurement, PureState2, PureState4, SearchConfig
 
@@ -277,3 +277,52 @@ class TestSimulate:
         ident, damp, probe, meas = self._damping_setup()
         with pytest.raises(ValueError, match="trials"):
             oracle.simulate(ident, damp, probe, meas, 0, 1)
+
+
+class TestConvergence:
+    # criterion 2's search budget; of its pairs, the first two converge
+    # and the third stops at the sweep cap with starts still gaining
+    CFG = SearchConfig(grid_points=128, multistarts=24, rng_seed=202)
+
+    @staticmethod
+    def lemma2_pairs(count):
+        rng = checks._rng(202)
+        return [
+            (checks.sample_extremal(rng), checks.sample_extremal(rng))
+            for _ in range(count)
+        ]
+
+    def test_full_search_reports_the_cap(self):
+        (c1, c2), _, (d1, d2) = self.lemma2_pairs(3)
+        assert oracle.brute_max_entangled(c1, c2, self.CFG, mode="full").converged
+        capped = oracle.brute_max_entangled(d1, d2, self.CFG, mode="full")
+        assert capped.converged is False
+        assert capped.value > 0.7
+
+    def test_grid_searches_converge(self):
+        c1, c2 = self.lemma2_pairs(1)[0]
+        assert oracle.brute_max_single(c1, c2, self.CFG).converged
+        assert oracle.brute_max_entangled(c1, c2, self.CFG).converged
+        _, res = oracle.optimal_entangled_probe(c1, c2, self.CFG)
+        assert res.converged
+
+    def test_ascend_lists_capped_starts(self):
+        # an objective that always gains never meets the tolerance
+        calls = []
+
+        def values(points):
+            calls.append(1)
+            return points[:, 0] + len(calls)
+
+        starts = np.array([[0.1], [0.2]])
+        _, _, capped = oracle._ascend(values, starts, [(0.0, 1.0)], 1e-10)
+        assert capped.tolist() == [0, 1]
+        _, _, capped = oracle._ascend(
+            lambda p: -((p[:, 0] - 0.3) ** 2), starts, [(0.0, 1.0)], 1e-10
+        )
+        assert capped.tolist() == []
+
+    def test_lemma2_counts_unconverged_full_searches(self):
+        rep = checks.check_lemma2(3, 202, self.CFG)
+        assert rep["passed"]
+        assert rep["full_unconverged"] == 1
