@@ -345,13 +345,13 @@ def classify(p: DiscrimParams) -> Classification:
         if gsum**2 / 2.0 - p.P * (a + b) <= 0.0:
             # Single-qubit optimum sits at an endpoint.
             m["t3_gM_vs_P"] = abs(gM) - abs(p.P)
-            if abs(gM) > abs(p.P):
+            if m["t3_gM_vs_P"] > EPS_BOUNDARY:
                 return finish(True, "T3/B.4")
             return finish(False, "T3/A.3")
         m["t3_alpha_eq_beta"] = abs(a - b)
         if abs(a - b) <= EPS_BOUNDARY:
             m["t3_gm_vs_alpha"] = abs(a) - abs(gm)
-            if abs(a) > abs(gm):
+            if m["t3_gm_vs_alpha"] > EPS_BOUNDARY:
                 return finish(True, "T3/B.1")
             return finish(False, "T3/A.1")
         res = 2.0 * gM * (a + b) - gsum**2
@@ -382,9 +382,6 @@ def classify(p: DiscrimParams) -> Classification:
     if vertex is not None and 0.0 < vertex < 1.0:
         m["t2_alpha_eq_beta"] = abs(a - b)
         if abs(a - b) <= EPS_BOUNDARY:
-            m["t2_a2_vs_g1g2"] = a**2 - abs(g1 * g2)
-            if a**2 > abs(g1 * g2):
-                return finish(True, "T2/B.2")
             return finish(False, "T2/A.4")
         # Interior optimum with alpha != beta: the two-radical profile
         # strictly beats the single-qubit profile at the optimum.

@@ -5,8 +5,8 @@ distances are maximized directly over probe states by applying the
 channels' superoperators (:func:`channels.superoperator`), so the results
 serve as an independent check on the closed forms and on the decision
 tree.  Grid evaluations are batched through numpy (including LAPACK's
-batched Hermitian eigensolver for the 4x4 case), which keeps the full
-acceptance sweep in the minutes range.
+batched Hermitian eigensolver for the 4x4 case), which keeps the
+acceptance sweeps fast.
 
 The three searches are charts over one maximizer, :func:`_ascend`, a
 lockstep coordinate-golden ascent from a batch of starts:
@@ -16,8 +16,10 @@ lockstep coordinate-golden ascent from a batch of starts:
   start at the best grid point.  A relative phase on |11> is not searched:
   it is undone exactly by diag(1, e^{-i eta}) on the reference qubit, a
   unitary that commutes with id (x) N and leaves the trace norm unchanged;
-* full: a 6-parameter chart of all pure two-qubit states, seeded
-  multistarts.
+* full: the pair chart sqrt(1 - t)|0>|v0> + sqrt(t)|1>|v1> (v0 a Bloch
+  state of the system qubit, v1 orthogonal to it), seeded multistarts.  By
+  the SVD every pure two-qubit state is a chart point moved by a unitary on
+  the reference qubit, which, as above, leaves the trace norm unchanged.
 
 All searches are deterministic given a :class:`SearchConfig`: grids are
 uniform, the full-space search uses a seeded generator for its
@@ -290,46 +292,38 @@ def _restricted_engine(c1, c2, cfg: SearchConfig):
     return result, PureState4.schmidt(math.sqrt(1.0 - bt), math.sqrt(bt))
 
 
-def _chart_states(params: np.ndarray) -> np.ndarray:
-    """Hyperspherical chart: 3 magnitude angles in [0, pi/2], 3 phases."""
-    chi1, chi2, chi3 = params[:, 0], params[:, 1], params[:, 2]
-    ph = params[:, 3:6]
-    states = np.zeros((params.shape[0], 4), dtype=complex)
-    states[:, 0] = np.cos(chi1)
-    states[:, 1] = np.sin(chi1) * np.cos(chi2) * np.exp(1j * ph[:, 0])
-    states[:, 2] = np.sin(chi1) * np.sin(chi2) * np.cos(chi3) * np.exp(1j * ph[:, 1])
-    states[:, 3] = np.sin(chi1) * np.sin(chi2) * np.sin(chi3) * np.exp(1j * ph[:, 2])
-    return states
+def _pair_states(params: np.ndarray) -> np.ndarray:
+    """Pair chart: sqrt(1 - t)|0>|v0> + sqrt(t)|1>|v1>, t in [0, 1], where
+    v0 is the Bloch state at (polar, azimuth) and v1 = (-conj v0[1], conj v0[0])
+    is orthogonal to it.  By the SVD of its 2x2 amplitude matrix, every pure
+    two-qubit state is a chart point up to a unitary on the reference
+    (left) qubit."""
+    t = params[:, 0:1]
+    v0 = _bloch_states(params[:, 1:3])
+    v1 = np.stack([-v0[:, 1].conj(), v0[:, 0].conj()], axis=1)
+    return np.concatenate([np.sqrt(1.0 - t) * v0, np.sqrt(t) * v1], axis=1)
 
 
-_CHART_RANGES = [(0.0, math.pi / 2.0)] * 3 + [(0.0, 2.0 * math.pi)] * 3
+_PAIR_RANGES = [(0.0, 1.0), (0.0, math.pi), (0.0, 2.0 * math.pi)]
 
 
-def _full_engine(c1, c2, cfg: SearchConfig):
-    """Seeded multistart ascent on the 6-parameter state manifold; the
-    lowest start index wins ties.  Returns the result and its probe state."""
+def _full_engine(c1, c2, cfg: SearchConfig) -> DistanceResult:
+    """Seeded multistart ascent on the pair chart; the lowest start index
+    wins ties.  arg is the weight on |11> at the winning point."""
     lmat = _delta_superop(c1, c2, extended=True)
 
     def values(params: np.ndarray) -> np.ndarray:
-        return _tracenorm4_batch(_delta_batch(lmat, _chart_states(params)))
+        return _tracenorm4_batch(_delta_batch(lmat, _pair_states(params)))
 
     rng = np.random.default_rng(np.random.PCG64(cfg.rng_seed))
     k = cfg.multistarts
-    starts = np.empty((k, 6))
-    for j, (lo, hi) in enumerate(_CHART_RANGES):
+    starts = np.empty((k, len(_PAIR_RANGES)))
+    for j, (lo, hi) in enumerate(_PAIR_RANGES):
         starts[:, j] = rng.uniform(lo, hi, size=k)
-    best, params, capped = _ascend(values, starts, _CHART_RANGES, cfg.refine_tol)
+    best, params, capped = _ascend(values, starts, _PAIR_RANGES, cfg.refine_tol)
     i = int(np.argmax(best))
-    state_vec = _chart_states(params[i : i + 1])[0]
-    # fix global phase: largest-magnitude amplitude real positive
-    lead = int(np.argmax(np.abs(state_vec)))
-    phase = state_vec[lead] / abs(state_vec[lead])
-    state_vec = state_vec / phase
-    state_vec = state_vec / np.linalg.norm(state_vec)
-    state = PureState4(tuple(complex(x) for x in state_vec))
-    converged = capped.size == 0
-    result = DistanceResult(float(best[i]), abs(state.a[3]) ** 2, "full", k, converged)
-    return result, state
+    weight = float(abs(_pair_states(params[i : i + 1])[0, 3]) ** 2)
+    return DistanceResult(float(best[i]), weight, "full", k, capped.size == 0)
 
 
 def brute_max_entangled(
@@ -337,15 +331,16 @@ def brute_max_entangled(
 ) -> DistanceResult:
     """Maximize the extended-output trace distance over two-qubit probes.
 
-    restricted mode searches the family sqrt(1 - t)|00> + sqrt(t)|11>, with
-    a1 real: a phase on |11> is a unitary on the reference qubit and leaves
-    the trace distance unchanged.  full mode searches all pure two-qubit
-    states by seeded multistart ascent.
+    Both modes search states up to a unitary on the reference qubit, which
+    commutes with id (x) N and leaves the trace distance unchanged.
+    restricted mode searches the family sqrt(1 - t)|00> + sqrt(t)|11> with
+    a1 real (a phase on |11> is such a unitary).  full mode reaches every
+    pure two-qubit state by seeded multistart ascent over the pair chart.
     """
     if mode == "restricted":
         return _restricted_engine(c1, c2, cfg)[0]
     if mode == "full":
-        return _full_engine(c1, c2, cfg)[0]
+        return _full_engine(c1, c2, cfg)
     raise ValueError(f"mode must be 'restricted' or 'full', got {mode!r}")
 
 

@@ -77,6 +77,33 @@ class TestClassify:
         assert rec["classification"]["useful"] is True
         assert rec["gap"] > 0.05
 
+    @pytest.mark.parametrize(
+        "c1, c2, node",
+        [
+            (
+                "identity",
+                "pauli(0.6928971045702548,0.9237189036974383,0.4328441767851246)",
+                "T3/A.1",
+            ),
+            (
+                "pauli(0.18609777298012653,0.9492751172317063,1.6256168377945202)",
+                "pauli(0.5668663243924247,0.9782738599927818,2.3230764734565414)",
+                "T3/A.3",
+            ),
+        ],
+    )
+    def test_rounding_tie_is_not_useful(self, capsys, c1, c2, node):
+        # |alpha| vs |gamma_m| (B.1) and |gamma_M| vs |P| (B.4) are equal in
+        # exact arithmetic for these Pauli pairs; a rounding-size slack must
+        # not make the pair useful
+        code, out, _ = run_cli(capsys, "classify", c1, c2)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["classification"]["node"] == node
+        assert rec["classification"]["useful"] is False
+        assert rec["classification"]["boundary"] is True
+        assert abs(rec["gap"]) <= 1e-9
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "classify", "ad(0.8)", "ad(0.3)")
         _, out2, _ = run_cli(capsys, "classify", "ad(0.8)", "ad(0.3)")

@@ -477,10 +477,11 @@ class TestClassify:
 class TestSplitLeaves:
     """Directed inputs for the leaves that random samples miss.
 
-    T2/B.2, T3/A.1 and T3/A.2 lie only within EPS_BOUNDARY of a split (the
-    exact sets are empty), so their inputs are built on it; T2/A.2 is also
-    built on the split it shares with T2/B.1.  A useful leaf must show a
-    clear closed-form gap, a leaf that is not useful none.
+    T3/A.1 and T3/A.2 lie only within EPS_BOUNDARY of a split (the exact
+    sets are empty), so their inputs are built on it; T2/A.2 is also built
+    on the split it shares with T2/B.1, and T2/A.4 within EPS_BOUNDARY of
+    alpha == beta.  A useful leaf must show a clear closed-form gap, a leaf
+    that is not useful none.
     """
 
     def assert_useful(self, p, node):
@@ -515,8 +516,8 @@ class TestSplitLeaves:
         assert abs(cls.margins["t3_resonance"]) > 1.0
 
     def test_t3_a1_alpha_within_eps_of_beta(self):
-        # alpha == beta sends the middle regime to T3/B.1 (alpha^2 > gm^2);
-        # A.1 needs |alpha| <= |gamma_m| with beta just above alpha
+        # alpha == beta sends the middle regime to T3/B.1 when |alpha|
+        # exceeds |gamma_m| by more than EPS_BOUNDARY; A.1 takes the rest
         a = 0.3
         cls = self.assert_not_useful(DiscrimParams(a, a + 0.9e-9, 0.8, a), "T3/A.1")
         assert cls.boundary
@@ -536,9 +537,10 @@ class TestSplitLeaves:
 
     @staticmethod
     def t2_b2_params():
-        # alpha == beta in the low regime is never useful (T2/A.4); B.2
-        # needs |alpha - beta| <= 1e-9 with ||g1| - |g2|| > 1e-9 and
-        # alpha^2 > |g1 g2| >= alpha beta, which fits only at small scale
+        # |alpha - beta| <= 1e-9 with ||g1| - |g2|| > 1e-9 and
+        # alpha^2 > |g1 g2| >= alpha beta, which fits only at small scale:
+        # there alpha^2 - |g1 g2| <= alpha (alpha - beta) is below
+        # EPS_BOUNDARY, so the low regime has no useful leaf at alpha == beta
         a = 1e-4
         b = a - 0.999999e-9
         gm = math.sqrt(a * b) * (1.0 + 1e-15)
@@ -547,15 +549,6 @@ class TestSplitLeaves:
 
     def test_t2_b2_within_eps_of_alpha_eq_beta(self):
         p = self.t2_b2_params()
-        cls = discrim.classify(p)
-        assert cls.node == "T2/B.2" and cls.useful and cls.boundary
-        assert cls.margins["value_gap"] == p.entangled.value - p.single.value
-        assert abs(cls.margins["value_gap"]) <= 1e-9
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="T2/B.2 is reached only within EPS_BOUNDARY of alpha == beta, "
-        "where the closed-form gap is at rounding level",
-    )
-    def test_t2_b2_useful_verdict_has_a_gap(self):
-        self.assert_useful(self.t2_b2_params(), "T2/B.2")
+        assert p.alpha**2 > abs(p.gamma1 * p.gamma2) >= p.alpha * p.beta
+        cls = self.assert_not_useful(p, "T2/A.4")
+        assert cls.boundary

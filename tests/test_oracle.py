@@ -105,6 +105,44 @@ class TestDeltas:
                 norms.append(smallmat.trace_norm(oracle.delta_entangled(c1, c2, probe)))
             assert max(norms) - min(norms) < 1e-12
 
+    def test_pair_chart_covers_every_state(self):
+        # by the SVD M = U diag(s) W^dagger of its amplitude matrix, a state
+        # is (U (x) id) (s0 |0>|r0> + s1 |1>|r1>) with r_k = conj(W[:, k]);
+        # up to phases on the reference qubit r0 is the Bloch state v0 of
+        # the chart and r1 its orthogonal v1, so the chart point has the
+        # same output-difference trace norm
+        rng = np.random.default_rng(59)
+        for mixtures in (False, True):
+            for _ in range(10):
+                c1, c2 = random_pair(rng, mixtures=mixtures)
+                for _ in range(30):
+                    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+                    amps /= np.linalg.norm(amps)
+                    _, s, wh = np.linalg.svd(amps.reshape(2, 2))
+                    r0 = wh[0]  # conj(W[:, 0])
+                    polar = 2.0 * math.acos(min(abs(r0[0]), 1.0))
+                    azim = (np.angle(r0[1]) - np.angle(r0[0])) % (2.0 * math.pi)
+                    point = oracle._pair_states(np.array([[s[1] ** 2, polar, azim]]))[0]
+                    assert np.linalg.norm(point) == pytest.approx(1.0, abs=1e-14)
+                    chart = smallmat.trace_norm(
+                        oracle.delta_entangled(c1, c2, PureState4(tuple(point)))
+                    )
+                    state = smallmat.trace_norm(
+                        oracle.delta_entangled(c1, c2, PureState4(tuple(amps)))
+                    )
+                    assert abs(chart - state) < 1e-12
+
+    def test_pair_chart_points(self):
+        rng = np.random.default_rng(60)
+        params = rng.uniform(0, 1, size=(50, 3)) * [1.0, math.pi, 2.0 * math.pi]
+        states = oracle._pair_states(params)
+        np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-15)
+        # polar angle 0 is the Schmidt family of the restricted search
+        params[:, 1] = 0.0
+        np.testing.assert_array_equal(
+            oracle._pair_states(params), oracle._schmidt_states(params[:, :1])
+        )
+
     def test_schmidt_probe_block_structure(self):
         # the output difference on a0|00> + a1|11> consists of a block on
         # span{|00>,|11>} and a block on span{|01>,|10>} with entries set
@@ -186,16 +224,6 @@ class TestBruteMaxEntangled:
         probe, res = oracle.optimal_entangled_probe(c1, c2, FAST)
         achieved = smallmat.trace_norm(oracle.delta_entangled(c1, c2, probe))
         assert achieved == pytest.approx(res.value, abs=1e-9)
-
-    def test_full_mode_phase_convention(self):
-        # the returned state carries its largest amplitude real positive
-        rng = np.random.default_rng(57)
-        c1, c2 = random_pair(rng)
-        best, state = oracle._full_engine(c1, c2, FAST)
-        amps = state.vector
-        lead = amps[int(np.argmax(np.abs(amps)))]
-        assert abs(lead.imag) < 1e-12
-        assert lead.real > 0
 
 
 class TestHelstrom:
