@@ -87,7 +87,7 @@ def check_lemma2(
 ) -> dict:
     """Closed-form entangled maximum vs restricted search, and the claim
     that searching outside the |00>/|11> plane never helps; counts the
-    pairs whose full search stopped at its sweep cap (``full_unconverged``)."""
+    pairs whose full search stopped at its step cap (``full_unconverged``)."""
     _require_samples(samples)
     rng = _rng(seed)
     max_dev = 0.0

@@ -218,6 +218,8 @@ def cmd_sweep(args) -> int:
         name = name.strip()
         if name not in SWEEP_PARAMS:
             raise ValueError(f"unknown fixed parameter {name!r}")
+        if name in (a[0] for a in axes):
+            raise ValueError(f"{name!r} is both fixed and a sweep axis")
         fixed[name] = float(value)
 
     def axis_values(axis):
@@ -260,9 +262,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = oracle.SearchConfig(
-        grid_points=96, multistarts=16, refine_tol=1e-10, rng_seed=args.seed
-    )
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    cfg = oracle.SearchConfig(grid_points=96, multistarts=16, rng_seed=args.seed)
     if args.mode == "lemma1":
         report = checks.check_lemma1(args.samples, args.seed, cfg)
     elif args.mode == "lemma2":
@@ -270,7 +272,7 @@ def cmd_verify(args) -> int:
     elif args.mode == "tree":
         report = checks.check_tree(args.samples, args.seed, cfg)
     elif args.mode == "montecarlo":
-        trials = args.trials if args.trials else 10**6
+        trials = 10**6 if args.trials is None else args.trials
         report = checks.check_montecarlo(trials, args.seed, cfg)
     else:
         raise ValueError(f"unknown verify mode {args.mode!r}")
@@ -283,6 +285,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     c1 = channels.parse_channel(args.channel1)
     c2 = channels.parse_channel(args.channel2)
+    if args.optimal and args.probe is not None:
+        raise ValueError("simulate takes a probe literal or --optimal, not both")
     cfg = oracle.SearchConfig(rng_seed=args.seed)
     if args.optimal:
         probe, _ = oracle.optimal_entangled_probe(c1, c2, cfg)
@@ -346,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["lemma1", "lemma2", "tree", "montecarlo"])
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=0,
-                   help="Monte-Carlo trials (montecarlo mode)")
+    p.add_argument("--trials", type=int, default=None,
+                   help="Monte-Carlo trials (montecarlo mode, default 10^6)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="seeded Helstrom discrimination runs")

@@ -8,18 +8,24 @@ tree.  Grid evaluations are batched through numpy (including LAPACK's
 batched Hermitian eigensolver for the 4x4 case), which keeps the
 acceptance sweeps fast.
 
-The three searches are charts over one maximizer, :func:`_ascend`, a
-lockstep coordinate-golden ascent from a batch of starts:
+The three searches share one maximizer, :func:`_seesaw`.  By the
+Helstrom/diamond-norm duality (Watrous, arXiv:1207.5726) the largest
+||Delta(psi psi^dag)||_1 is the largest <psi| Delta^dag(O) |psi> over
+probes psi and observables -1 <= O <= 1, and for a fixed psi the best O is
+sign(Delta(psi psi^dag)).  The see-saw alternates the two maximizations,
+both eigen-steps, for a batch of starts in lockstep.  The searches differ
+only in the probe subspace and the starts:
 
-* Bloch: (polar, azimuth), one start at the best grid point;
-* restricted: the Schmidt weight t of sqrt(1 - t)|00> + sqrt(t)|11>, one
-  start at the best grid point.  A relative phase on |11> is not searched:
-  it is undone exactly by diag(1, e^{-i eta}) on the reference qubit, a
-  unitary that commutes with id (x) N and leaves the trace norm unchanged;
-* full: the pair chart sqrt(1 - t)|0>|v0> + sqrt(t)|1>|v1> (v0 a Bloch
-  state of the system qubit, v1 orthogonal to it), seeded multistarts.  By
-  the SVD every pure two-qubit state is a chart point moved by a unitary on
-  the reference qubit, which, as above, leaves the trace norm unchanged.
+* Bloch: all of C^2, from the best point of a (polar, azimuth) grid;
+* restricted: span{|00>, |11>}, from the best interior point of a grid
+  over the Schmidt weight t of sqrt(1 - t)|00> + sqrt(t)|11>.  A relative
+  phase on |11> is undone exactly by diag(1, e^{-i eta}) on the reference
+  qubit, a unitary that commutes with id (x) N and leaves the trace norm
+  unchanged, so the grid is real;
+* full: all of C^4, from seeded starts on the pair chart
+  sqrt(1 - t)|0>|v0> + sqrt(t)|1>|v1> (v0 a Bloch state of the system
+  qubit, v1 orthogonal to it).  By the SVD every pure two-qubit state is a
+  chart point moved by a unitary on the reference qubit.
 
 All searches are deterministic given a :class:`SearchConfig`: grids are
 uniform, the full-space search uses a seeded generator for its
@@ -38,18 +44,20 @@ from .discrim import DistanceResult
 
 RNG_ALGORITHM = "pcg64"
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 60
-_MAX_SWEEPS = 60
+_MAX_STEPS = 3000
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic search budget for the brute-force maximizers."""
+    """Deterministic search budget for the brute-force maximizers.
+
+    ``refine_tol`` is the smallest gain of one see-saw step that keeps a
+    start running; the first step that gains less stops it.
+    """
 
     grid_points: int = 256
     multistarts: int = 64
-    refine_tol: float = 1e-10
+    refine_tol: float = 1e-15
     rng_seed: int = 42
 
     def __post_init__(self):
@@ -179,65 +187,47 @@ def _tracenorm4_batch(d: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
 
 
-def _ascend(values, starts: np.ndarray, ranges: list, refine_tol: float):
-    """Lockstep coordinate-golden ascent from every row of ``starts``.
+def _seesaw(lmat: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol: float):
+    """Lockstep Helstrom see-saw from every row of ``states``.
 
-    ``values`` maps a (k, d) array of chart points to their k objective
-    values.  A sweep runs a golden-section search along each coordinate in
-    turn; all running starts advance together, one batched ``values`` call
-    per golden step.  A coordinate moves to the final bracket midpoint only
-    when that improves the start's best value.  Each start stops after its
-    first sweep that gains less than ``refine_tol``, or at the sweep cap.
-    Returns the best values, the points reaching them, and the indices of
-    the starts that stopped at the cap.
+    A step takes the Helstrom observable O = sign(D) of D = Delta(psi psi^dag)
+    from an ``eigh`` and moves psi to the top eigenvector of M = Delta^dag(O)
+    compressed to the columns of ``basis``; as ||D||_1 = <psi|M|psi>, no step
+    lowers it.  A row keeps its best state and stops after its first step
+    that gains less than ``refine_tol``, or at ``_MAX_STEPS``.  Returns the
+    best values, their states and the indices of the rows stopped at the cap.
     """
-    points = np.array(starts, dtype=float)
-    best = values(points)
-    running = np.arange(len(points))
-    for _ in range(_MAX_SWEEPS):
-        pts, top = points[running], best[running]
-        gained = np.zeros(len(running))
-        for j, (lo_j, hi_j) in enumerate(ranges):
-
-            def value_at(x, j=j):
-                trial = pts.copy()
-                trial[:, j] = x
-                return values(trial)
-
-            lo = np.full(len(running), float(lo_j))
-            hi = np.full(len(running), float(hi_j))
-            x1 = hi - _GOLDEN * (hi - lo)
-            x2 = lo + _GOLDEN * (hi - lo)
-            f1, f2 = value_at(x1), value_at(x2)
-            for _ in range(_GOLDEN_ITERS):
-                # keep the bracket side of the better probe, probe once more
-                right = f1 < f2
-                lo = np.where(right, x1, lo)
-                hi = np.where(right, hi, x2)
-                width = hi - lo
-                x = np.where(right, lo + _GOLDEN * width, hi - _GOLDEN * width)
-                f = value_at(x)
-                x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
-                f1, f2 = np.where(right, f2, f), np.where(right, f, f1)
-            xmid = 0.5 * (lo + hi)
-            vmid = value_at(xmid)
-            improve = vmid > top
-            pts[improve, j] = xmid[improve]
-            gained = np.where(improve, gained + vmid - top, gained)
-            top = np.maximum(top, vmid)
-        points[running], best[running] = pts, top
-        running = running[gained >= refine_tol]
+    dim = states.shape[1]
+    psi = np.array(states, dtype=complex)
+    w, v = np.linalg.eigh(_delta_batch(lmat, psi))
+    best = np.sum(np.abs(w), axis=1)
+    running = np.arange(len(psi))
+    for _ in range(_MAX_STEPS):
         if running.size == 0:
             break
-    return best, points, running
+        obs = (v * np.sign(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        # Tr(O Delta(rho)) = Tr(M rho) for Hermitian O gives vec(M) = L^dag vec(O)
+        m = (obs.reshape(-1, dim * dim) @ lmat.conj()).reshape(-1, dim, dim)
+        _, u = np.linalg.eigh(basis.T @ m @ basis)
+        trial = u[:, :, -1] @ basis.T
+        w, v = np.linalg.eigh(_delta_batch(lmat, trial))
+        value = np.sum(np.abs(w), axis=1)
+        gain = value - best[running]
+        up = gain > 0.0
+        psi[running[up]], best[running[up]] = trial[up], value[up]
+        keep = gain >= refine_tol
+        running, w, v = running[keep], w[keep], v[keep]
+    return best, psi, running
 
 
-def _grid_ascend(values, grid: np.ndarray, ranges: list, refine_tol: float):
-    """Best point of ``grid``, refined by :func:`_ascend` from there."""
-    vals = values(grid)
-    i = int(np.argmax(vals))
-    best, points, capped = _ascend(values, grid[i : i + 1], ranges, refine_tol)
-    return max(float(best[0]), float(vals[i])), points[0], capped.size == 0
+def _grid_seesaw(lmat, grid_states, values, start: int, basis, refine_tol: float):
+    """See-saw from grid row ``start``; the best grid point wins if higher.
+    Returns the value, its state and whether the see-saw converged."""
+    best, psi, capped = _seesaw(lmat, grid_states[start : start + 1], basis, refine_tol)
+    i = int(np.argmax(values))
+    if values[i] > best[0]:
+        return float(values[i]), grid_states[i], capped.size == 0
+    return float(best[0]), psi[0], capped.size == 0
 
 
 def _bloch_states(params: np.ndarray) -> np.ndarray:
@@ -251,22 +241,21 @@ def _bloch_states(params: np.ndarray) -> np.ndarray:
 def brute_max_single(c1, c2, cfg: SearchConfig = DEFAULT_CONFIG) -> DistanceResult:
     """Maximize the output trace distance over the Bloch sphere.
 
-    Uniform (polar, azimuth) grid with cfg.grid_points per axis, then
-    golden-section coordinate refinement from the best grid point.
+    Uniform (polar, azimuth) grid with cfg.grid_points per axis, then the
+    see-saw over all of C^2 from the best grid point.  arg is the weight
+    on |1> of the winning probe.
     """
     lmat = _delta_superop(c1, c2, extended=False)
-
-    def values(params: np.ndarray) -> np.ndarray:
-        return _tracenorm2_batch(_delta_batch(lmat, _bloch_states(params)))
-
     n = cfg.grid_points
     polar = np.linspace(0.0, math.pi, n)
     azim = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     grid = np.stack([g.ravel() for g in np.meshgrid(polar, azim, indexing="ij")], axis=1)
-    best, (bp, _), converged = _grid_ascend(
-        values, grid, [(0.0, math.pi), (0.0, 2.0 * math.pi)], cfg.refine_tol
+    states = _bloch_states(grid)
+    values = _tracenorm2_batch(_delta_batch(lmat, states))
+    best, psi, converged = _grid_seesaw(
+        lmat, states, values, int(np.argmax(values)), np.eye(2), cfg.refine_tol
     )
-    return DistanceResult(best, math.sin(bp / 2.0) ** 2, "bloch-grid", n, converged)
+    return DistanceResult(best, float(abs(psi[1]) ** 2), "bloch-grid", n, converged)
 
 
 def _schmidt_states(params: np.ndarray) -> np.ndarray:
@@ -279,17 +268,23 @@ def _schmidt_states(params: np.ndarray) -> np.ndarray:
 
 
 def _restricted_engine(c1, c2, cfg: SearchConfig):
-    """Grid over t, then golden refinement, on the real Schmidt family;
-    returns the result and its probe state."""
+    """Grid over the Schmidt weight t, then the see-saw on span{|00>, |11>}
+    from the best interior grid point; returns the result and its probe.
+
+    A product probe (t = 0 or 1) is a fixed point of the see-saw, so the
+    search starts inside and keeps the best grid value when it is higher.
+    arg is the weight t on |11>.
+    """
     lmat = _delta_superop(c1, c2, extended=True)
-
-    def values(params: np.ndarray) -> np.ndarray:
-        return _tracenorm4_batch(_delta_batch(lmat, _schmidt_states(params)))
-
-    grid = np.linspace(0.0, 1.0, cfg.grid_points)[:, None]
-    best, (bt,), converged = _grid_ascend(values, grid, [(0.0, 1.0)], cfg.refine_tol)
-    result = DistanceResult(best, float(bt), "restricted", cfg.grid_points, converged)
-    return result, PureState4.schmidt(math.sqrt(1.0 - bt), math.sqrt(bt))
+    states = _schmidt_states(np.linspace(0.0, 1.0, cfg.grid_points)[:, None])
+    values = _tracenorm4_batch(_delta_batch(lmat, states))
+    start = 1 + int(np.argmax(values[1:-1]))
+    best, psi, converged = _grid_seesaw(
+        lmat, states, values, start, np.eye(4)[:, [0, 3]], cfg.refine_tol
+    )
+    t = min(float(abs(psi[3]) ** 2), 1.0)
+    result = DistanceResult(best, t, "restricted", cfg.grid_points, converged)
+    return result, PureState4.schmidt(math.sqrt(1.0 - t), math.sqrt(t))
 
 
 def _pair_states(params: np.ndarray) -> np.ndarray:
@@ -304,25 +299,18 @@ def _pair_states(params: np.ndarray) -> np.ndarray:
     return np.concatenate([np.sqrt(1.0 - t) * v0, np.sqrt(t) * v1], axis=1)
 
 
-_PAIR_RANGES = [(0.0, 1.0), (0.0, math.pi), (0.0, 2.0 * math.pi)]
-
-
 def _full_engine(c1, c2, cfg: SearchConfig) -> DistanceResult:
-    """Seeded multistart ascent on the pair chart; the lowest start index
-    wins ties.  arg is the weight on |11> at the winning point."""
+    """Lockstep see-saw over all of C^4 from seeded pair-chart starts, t,
+    polar and azimuth drawn uniformly in turn; the lowest start index wins
+    ties.  arg is the weight on |11> of the winning probe."""
     lmat = _delta_superop(c1, c2, extended=True)
-
-    def values(params: np.ndarray) -> np.ndarray:
-        return _tracenorm4_batch(_delta_batch(lmat, _pair_states(params)))
-
     rng = np.random.default_rng(np.random.PCG64(cfg.rng_seed))
     k = cfg.multistarts
-    starts = np.empty((k, len(_PAIR_RANGES)))
-    for j, (lo, hi) in enumerate(_PAIR_RANGES):
-        starts[:, j] = rng.uniform(lo, hi, size=k)
-    best, params, capped = _ascend(values, starts, _PAIR_RANGES, cfg.refine_tol)
+    ranges = ((0.0, 1.0), (0.0, math.pi), (0.0, 2.0 * math.pi))
+    starts = np.stack([rng.uniform(lo, hi, size=k) for lo, hi in ranges], axis=1)
+    best, psi, capped = _seesaw(lmat, _pair_states(starts), np.eye(4), cfg.refine_tol)
     i = int(np.argmax(best))
-    weight = float(abs(_pair_states(params[i : i + 1])[0, 3]) ** 2)
+    weight = float(abs(psi[i, 3]) ** 2)
     return DistanceResult(float(best[i]), weight, "full", k, capped.size == 0)
 
 

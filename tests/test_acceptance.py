@@ -56,7 +56,7 @@ def test_criterion_2_lemma2_equivalence():
         ok,
         f"max deviation {rep['max_deviation']:.3e}, "
         f"max full-over-restricted {rep['max_full_excess']:.3e}, "
-        f"full search at its sweep cap on {rep['full_unconverged']} pairs, "
+        f"full search at its step cap on {rep['full_unconverged']} pairs, "
         f"{elapsed:.1f}s",
     )
     assert ok, rep["failures"][:3]

@@ -181,6 +181,17 @@ class TestSweep:
         assert code == 1
         assert "phi1" in err
 
+    def test_fixed_parameter_on_an_axis_rejected(self, tmp_path, capsys):
+        # the axis would silently override the fixed value
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "phi1=0.5", "--grid", "phi1=0:1:2", "--out", str(out_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "phi1" in err
+        assert not out_path.exists()
+
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--grid", "bogus=0:1:2", "--out", str(tmp_path / "x.csv")
@@ -233,6 +244,20 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "samples" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_rejected(self, capsys, monkeypatch, trials):
+        # 0 used to mean "unset" and ran 10^6 trials
+        def no_work(*args):
+            raise AssertionError("verify ran a check")
+
+        monkeypatch.setattr(checks, "check_montecarlo", no_work)
+        code, out, err = run_cli(
+            capsys, "verify", "--mode", "montecarlo", "--trials", trials
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "trials" in err
 
     def test_tree_run_retaining_nothing_fails(self, capsys):
         # the single sample of seed 4 lies within the slack of a tree split
@@ -305,6 +330,14 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "identity", "ad(0.5)")
         assert code == 1
         assert "probe" in err
+
+    def test_probe_with_optimal_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "identity", "ad(1)", "qubit(1,0)", "--optimal"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--optimal" in err
 
     def test_complex_probe_amplitudes(self, capsys):
         code, out, _ = run_cli(

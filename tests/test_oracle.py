@@ -8,6 +8,10 @@ from entdisc.channels import ExtremalChannel, QubitChannel
 from entdisc.oracle import Measurement, PureState2, PureState4, SearchConfig
 
 FAST = SearchConfig(grid_points=64, multistarts=16, refine_tol=1e-10, rng_seed=9)
+PRODUCT_TRAP = (
+    QubitChannel.extremal(2.866637509083145, 0.22126097025033295),
+    QubitChannel.extremal(3.0911674279949026, 1.5505448436716018),
+)
 
 
 def random_pair(rng, mixtures=False):
@@ -225,6 +229,16 @@ class TestBruteMaxEntangled:
         achieved = smallmat.trace_norm(oracle.delta_entangled(c1, c2, probe))
         assert achieved == pytest.approx(res.value, abs=1e-9)
 
+    @pytest.mark.parametrize("grid", [96, 128, 256])
+    def test_product_probe_trap(self, grid):
+        # at grid 96 the best grid point is the product probe |00>, a fixed
+        # point of the see-saw 2.8e-5 below the maximum; the search must
+        # start inside the Schmidt family
+        c1, c2 = PRODUCT_TRAP
+        res = oracle.brute_max_entangled(c1, c2, SearchConfig(grid_points=grid))
+        closed = discrim.compute_params(c1, c2).entangled.value
+        assert res.value == pytest.approx(closed, abs=1e-12)
+
 
 class TestHelstrom:
     def test_diagonal(self):
@@ -308,8 +322,7 @@ class TestSimulate:
 
 
 class TestConvergence:
-    # criterion 2's search budget; of its pairs, the first two converge
-    # and the third stops at the sweep cap with starts still gaining
+    # criterion 2's search budget
     CFG = SearchConfig(grid_points=128, multistarts=24, rng_seed=202)
 
     @staticmethod
@@ -320,12 +333,18 @@ class TestConvergence:
             for _ in range(count)
         ]
 
-    def test_full_search_reports_the_cap(self):
-        (c1, c2), _, (d1, d2) = self.lemma2_pairs(3)
+    def test_full_search_reports_the_cap(self, monkeypatch):
+        # the third pair needs more than two see-saw steps in every search
+        c1, c2 = self.lemma2_pairs(3)[2]
         assert oracle.brute_max_entangled(c1, c2, self.CFG, mode="full").converged
-        capped = oracle.brute_max_entangled(d1, d2, self.CFG, mode="full")
+        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
+        capped = oracle.brute_max_entangled(c1, c2, self.CFG, mode="full")
         assert capped.converged is False
         assert capped.value > 0.7
+        assert oracle.brute_max_single(c1, c2, self.CFG).converged is False
+        assert oracle.brute_max_entangled(c1, c2, self.CFG).converged is False
+        _, res = oracle.optimal_entangled_probe(c1, c2, self.CFG)
+        assert res.converged is False
 
     def test_grid_searches_converge(self):
         c1, c2 = self.lemma2_pairs(1)[0]
@@ -334,23 +353,27 @@ class TestConvergence:
         _, res = oracle.optimal_entangled_probe(c1, c2, self.CFG)
         assert res.converged
 
-    def test_ascend_lists_capped_starts(self):
-        # an objective that always gains never meets the tolerance
-        calls = []
-
-        def values(points):
-            calls.append(1)
-            return points[:, 0] + len(calls)
-
-        starts = np.array([[0.1], [0.2]])
-        _, _, capped = oracle._ascend(values, starts, [(0.0, 1.0)], 1e-10)
-        assert capped.tolist() == [0, 1]
-        _, _, capped = oracle._ascend(
-            lambda p: -((p[:, 0] - 0.3) ** 2), starts, [(0.0, 1.0)], 1e-10
-        )
+    def test_seesaw_lists_capped_rows(self, monkeypatch):
+        # |00> is a fixed point on span{|00>, |11>} and stops at once; the
+        # interior start keeps gaining past a cap of two steps
+        c1, c2 = PRODUCT_TRAP
+        closed = discrim.compute_params(c1, c2).entangled.value
+        lmat = oracle._delta_superop(c1, c2, extended=True)
+        starts = oracle._schmidt_states(np.array([[0.0], [0.5]]))
+        basis = np.eye(4)[:, [0, 3]]
+        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
+        best, states, capped = oracle._seesaw(lmat, starts, basis, 1e-15)
+        assert capped.tolist() == [1]
+        np.testing.assert_array_equal(states[0], starts[0])
+        assert best[1] < closed - 1e-9
+        monkeypatch.undo()
+        best, _, capped = oracle._seesaw(lmat, starts, basis, 1e-15)
         assert capped.tolist() == []
+        assert best[1] == pytest.approx(closed, abs=1e-12)
 
-    def test_lemma2_counts_unconverged_full_searches(self):
+    def test_lemma2_counts_unconverged_full_searches(self, monkeypatch):
         rep = checks.check_lemma2(3, 202, self.CFG)
         assert rep["passed"]
-        assert rep["full_unconverged"] == 1
+        assert rep["full_unconverged"] == 0
+        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
+        assert checks.check_lemma2(3, 202, self.CFG)["full_unconverged"] == 3
