@@ -157,17 +157,19 @@ def g_single(p: DiscrimParams, s: float) -> float:
 
 def f_entangled(p: DiscrimParams, s: float) -> float:
     """Two-radical entangled profile, valid when both gamma_j^2 >= alpha beta."""
-    s = _check_s(s)
-    a_form = (1.0 - s) * p.alpha - s * p.beta
-    u = s * (1.0 - s)
-    return sum(
-        math.sqrt(a_form**2 + 4.0 * u * g**2) for g in (p.gamma1, p.gamma2)
-    )
+    # Range check inline: a _check_s call is 10-25% of a 10^4-point scan.
+    if not (0.0 <= s <= 1.0):
+        raise ValueError(f"s must lie in [0, 1], got {s}")
+    a2 = ((1.0 - s) * p.alpha - s * p.beta) ** 2
+    u4 = 4.0 * (s * (1.0 - s))
+    return math.sqrt(a2 + u4 * p.gamma1**2) + math.sqrt(a2 + u4 * p.gamma2**2)
 
 
 def G_mixed(p: DiscrimParams, s: float) -> float:
     """Entangled profile in the regime gamma_m^2 < alpha beta < gamma_M^2."""
-    s = _check_s(s)
+    # Range check inline: a _check_s call is 10-25% of a 10^4-point scan.
+    if not (0.0 <= s <= 1.0):
+        raise ValueError(f"s must lie in [0, 1], got {s}")
     t_form = (1.0 - s) * p.alpha + s * p.beta
     u = s * (1.0 - s)
     c = p.gamma_M**2 - p.alpha * p.beta
@@ -209,32 +211,35 @@ def max_distance_single(p: DiscrimParams) -> DistanceResult:
     return DistanceResult(2.0 * abs(p.P), arg, "endpoint")
 
 
-def _scan_max(fn) -> tuple[float, float]:
-    """Global max of a continuous fn on [0, 1]: uniform scan plus golden
-    refinement of the best bracket down to a 1e-12 interval."""
+def _scan_max(fn, p: DiscrimParams) -> tuple[float, float]:
+    """Global max of the profile s -> fn(p, s) on [0, 1]: uniform scan plus
+    golden refinement of the best bracket down to a 1e-12 interval.
+
+    ``fn`` is the public profile itself, passed by its module-level name,
+    so a tracer that replaces that name counts every evaluation."""
     n = SCAN_POINTS
     best_v, best_i = -math.inf, 0
     step = 1.0 / (n - 1)
     for i in range(n):
-        v = fn(i * step)
+        v = fn(p, i * step)
         if v > best_v:
             best_v, best_i = v, i
     lo = max(0.0, (best_i - 1) * step)
     hi = min(1.0, (best_i + 1) * step)
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
+    f1, f2 = fn(p, x1), fn(p, x2)
     while hi - lo > GOLDEN_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
+            f2 = fn(p, x2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
+            f1 = fn(p, x1)
     arg = 0.5 * (lo + hi)
-    v = fn(arg)
+    v = fn(p, arg)
     if best_v > v:
         return best_v, best_i * step
     return v, arg
@@ -254,9 +259,9 @@ def max_distance_entangled(p: DiscrimParams) -> DistanceResult:
         arg = 0.0 if abs(p.alpha) >= abs(p.beta) else 1.0
         return DistanceResult(2.0 * max(abs(p.alpha), abs(p.beta)), arg, "linear")
     if p.gamma_m**2 < ab:
-        value, arg = _scan_max(lambda s: G_mixed(p, s))
+        value, arg = _scan_max(G_mixed, p)
         return DistanceResult(value, arg, "single-radical", SCAN_POINTS)
-    value, arg = _scan_max(lambda s: f_entangled(p, s))
+    value, arg = _scan_max(f_entangled, p)
     return DistanceResult(value, arg, "two-radical", SCAN_POINTS)
 
 

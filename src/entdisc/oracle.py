@@ -67,6 +67,8 @@ class SearchConfig:
             raise ValueError("multistarts must be >= 16")
         if not self.refine_tol > 0.0:
             raise ValueError("refine_tol must be positive")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 DEFAULT_CONFIG = SearchConfig()

@@ -259,6 +259,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "trials" in err
 
+    def test_negative_seed_rejected(self, capsys, monkeypatch):
+        # numpy's PCG64 used to reject it with a message naming nothing
+        def no_work(*args):
+            raise AssertionError("verify ran a check")
+
+        monkeypatch.setattr(checks, "check_tree", no_work)
+        code, out, err = run_cli(
+            capsys, "verify", "--mode", "tree", "--seed", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "seed must be >= 0, got -1" in err
+
     def test_tree_run_retaining_nothing_fails(self, capsys):
         # the single sample of seed 4 lies within the slack of a tree split
         code, out, _ = run_cli(
@@ -338,6 +351,14 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "--optimal" in err
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "identity", "ad(1)", "qubit(1,0)", "--seed", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "seed must be >= 0, got -1" in err
 
     def test_complex_probe_amplitudes(self, capsys):
         code, out, _ = run_cli(

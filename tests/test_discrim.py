@@ -109,6 +109,38 @@ class TestProfiles:
             t_form = (1 - s) * p.alpha + s * p.beta
             assert discrim.G_mixed(p, s) == pytest.approx(2 * abs(t_form), abs=1e-12)
 
+    def test_kernels_are_the_documented_formulas(self):
+        # bit for bit, at the endpoints and at points of the scan's grid
+        rng = np.random.default_rng(36)
+        step = 1.0 / (discrim.SCAN_POINTS - 1)
+        for k in range(50):
+            if k % 2:
+                c1, c2 = (
+                    QubitChannel.extremal(*rng.uniform(0, math.pi, 2))
+                    for _ in range(2)
+                )
+            else:
+                c1, c2 = (
+                    QubitChannel.mixture(
+                        float(rng.uniform()),
+                        ExtremalChannel(*rng.uniform(0, math.pi, 2)),
+                        ExtremalChannel(*rng.uniform(0, math.pi, 2)),
+                    )
+                    for _ in range(2)
+                )
+            p = discrim.compute_params(c1, c2)
+            a, b, g1, g2 = p.alpha, p.beta, p.gamma1, p.gamma2
+            gM = max(g1, g2, key=abs)
+            idx = rng.choice(discrim.SCAN_POINTS, 200, replace=False)
+            for s in [0.0, 1.0] + [int(i) * step for i in idx]:
+                A = (1 - s) * a - s * b
+                T = (1 - s) * a + s * b
+                u = s * (1 - s)
+                f = sum(math.sqrt(A**2 + 4 * u * g**2) for g in (g1, g2))
+                G = abs(T) + math.sqrt(T**2 + 4 * u * (gM**2 - a * b))
+                assert discrim.f_entangled(p, s) == f
+                assert discrim.G_mixed(p, s) == G
+
     def test_range_validation(self):
         p = DiscrimParams(0.1, 0.2, 0.3, 0.4)
         for fn in (discrim.g_single, discrim.f_entangled, discrim.G_mixed):
@@ -211,6 +243,32 @@ class TestMaxDistanceEntangled:
             if 0.0 < st < 1.0:
                 assert r.arg == pytest.approx(st, abs=1e-6)
             assert r.value >= discrim.G_mixed(p, st) - 1e-12
+
+    @pytest.mark.parametrize(
+        "params, profile, other",
+        [
+            ((0.0, -1.0, -1.0, 0.0), "f_entangled", "G_mixed"),
+            ((0.5, 0.4, 0.9, 0.1), "G_mixed", "f_entangled"),
+        ],
+    )
+    def test_scan_evaluates_the_public_profile_by_name(
+        self, monkeypatch, params, profile, other
+    ):
+        # a tracer counts profile evaluations by replacing these names
+        calls = {"f_entangled": 0, "G_mixed": 0}
+
+        def counting(name, fn):
+            def wrapper(p, s):
+                calls[name] += 1
+                return fn(p, s)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(discrim, name, counting(name, getattr(discrim, name)))
+        discrim.max_distance_entangled(DiscrimParams(*params))
+        assert calls[profile] > discrim.SCAN_POINTS
+        assert calls[other] == 0
 
     def test_never_below_single(self):
         rng = np.random.default_rng(39)

@@ -55,6 +55,8 @@ class TestSearchConfig:
             SearchConfig(multistarts=4)
         with pytest.raises(ValueError):
             SearchConfig(refine_tol=0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SearchConfig(rng_seed=-1)
 
 
 class TestDeltas:
