@@ -3,11 +3,15 @@
 These are the engines behind ``entdisc verify`` and the acceptance tests.
 Each check draws reproducible samples from a PCG64 stream, runs the
 relevant comparison, and returns a plain report dict with the worst
-deviation and the full inputs of any failing sample.
+deviation and the full inputs of any failing sample.  A check draws all
+its pairs first and then runs their Bloch and restricted oracle searches
+as the rows of one see-saw each; its report gives their step counts
+(``seesaw_steps``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -54,22 +58,33 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
 
+def _draw_pairs(samples: int, rng, sample) -> list:
+    return [(sample(rng), sample(rng)) for _ in range(samples)]
+
+
+def _seesaw_steps(results) -> dict:
+    """See-saw steps of a check's Bloch and restricted searches, one row
+    each: a batch costs its longest row (max), a per-pair loop every row
+    (total)."""
+    steps = [r.iterations for r in results]
+    return {"rows": len(steps), "max": max(steps, default=0), "total": sum(steps)}
+
+
 def check_lemma1(
     samples: int, seed: int, cfg: oracle.SearchConfig = oracle.DEFAULT_CONFIG
 ) -> dict:
     """Closed-form single-qubit maximum vs Bloch-sphere brute force."""
     _require_samples(samples)
-    rng = _rng(seed)
+    pairs = _draw_pairs(samples, _rng(seed), sample_extremal)
+    brutes = oracle._bloch_rows(oracle._superops(pairs, extended=False), cfg)
     max_dev = 0.0
     failures = []
-    for _ in range(samples):
-        c1, c2 = sample_extremal(rng), sample_extremal(rng)
+    for (c1, c2), brute in zip(pairs, brutes):
         closed = discrim.compute_params(c1, c2).single.value
-        brute = oracle.brute_max_single(c1, c2, cfg).value
-        dev = abs(closed - brute)
+        dev = abs(closed - brute.value)
         max_dev = max(max_dev, dev)
         if dev > LEMMA_TOL:
-            record = {"closed": closed, "brute": brute, "dev": dev}
+            record = {"closed": closed, "brute": brute.value, "dev": dev}
             failures.append({**channels.format_pair(c1, c2), **record})
     return {
         "mode": "lemma1",
@@ -77,6 +92,7 @@ def check_lemma1(
         "seed": seed,
         "tolerance": LEMMA_TOL,
         "max_deviation": max_dev,
+        "seesaw_steps": _seesaw_steps(brutes),
         "failures": failures,
         "passed": not failures,
     }
@@ -89,19 +105,19 @@ def check_lemma2(
     that searching outside the |00>/|11> plane never helps; counts the
     pairs whose full search stopped at its step cap (``full_unconverged``)."""
     _require_samples(samples)
-    rng = _rng(seed)
+    pairs = _draw_pairs(samples, _rng(seed), sample_extremal)
+    lmats = oracle._superops(pairs, extended=True)
+    restricted_all = oracle._restricted_rows(lmats, cfg)
     max_dev = 0.0
     max_excess = -math.inf
     unconverged = 0
     failures = []
-    for _ in range(samples):
-        c1, c2 = sample_extremal(rng), sample_extremal(rng)
+    for (c1, c2), restricted in zip(pairs, restricted_all):
         closed = discrim.compute_params(c1, c2).entangled.value
-        restricted = oracle.brute_max_entangled(c1, c2, cfg, mode="restricted").value
         full = oracle.brute_max_entangled(c1, c2, cfg, mode="full")
         unconverged += not full.converged
-        dev = abs(closed - restricted)
-        excess = full.value - restricted
+        dev = abs(closed - restricted.value)
+        excess = full.value - restricted.value
         max_dev = max(max_dev, dev)
         max_excess = max(max_excess, excess)
         if dev > LEMMA_TOL or excess > LEMMA_TOL:
@@ -109,7 +125,7 @@ def check_lemma2(
                 {
                     **channels.format_pair(c1, c2),
                     "closed": closed,
-                    "restricted": restricted,
+                    "restricted": restricted.value,
                     "full": full.value,
                 }
             )
@@ -121,6 +137,7 @@ def check_lemma2(
         "max_deviation": max_dev,
         "max_full_excess": max_excess,
         "full_unconverged": unconverged,
+        "seesaw_steps": _seesaw_steps(restricted_all),
         "failures": failures,
         "passed": not failures,
     }
@@ -131,17 +148,15 @@ def check_quasi_extreme(
 ) -> dict:
     """For pairs of quasi-extreme maps the entangled optimum never wins."""
     _require_samples(samples)
-    rng = _rng(seed)
+    pairs = _draw_pairs(samples, _rng(seed), sample_quasi_extreme)
+    brutes = oracle.brute_max_many(pairs, cfg)
     max_gap = -math.inf
     failures = []
-    for _ in range(samples):
-        c1, c2 = sample_quasi_extreme(rng), sample_quasi_extreme(rng)
-        single = oracle.brute_max_single(c1, c2, cfg).value
-        ent = oracle.brute_max_entangled(c1, c2, cfg, mode="restricted").value
-        gap = ent - single
+    for (c1, c2), (single, ent) in zip(pairs, brutes):
+        gap = ent.value - single.value
         max_gap = max(max_gap, gap)
         if gap > LEMMA_TOL:
-            record = {"single": single, "entangled": ent, "gap": gap}
+            record = {"single": single.value, "entangled": ent.value, "gap": gap}
             failures.append({**channels.format_pair(c1, c2), **record})
     return {
         "mode": "quasi-extreme",
@@ -149,6 +164,7 @@ def check_quasi_extreme(
         "seed": seed,
         "tolerance": LEMMA_TOL,
         "max_gap": max_gap,
+        "seesaw_steps": _seesaw_steps(itertools.chain(*brutes)),
         "failures": failures,
         "passed": not failures,
     }
@@ -168,9 +184,7 @@ def check_tree(
     """
     _require_samples(samples)
     rng = _rng(seed)
-    retained = 0
-    discarded = 0
-    failures = []
+    kept = []
     for k in range(samples):
         if k % 2 == 0:
             c1, c2 = sample_extremal(rng), sample_extremal(rng)
@@ -178,35 +192,36 @@ def check_tree(
             c1, c2 = sample_mixture(rng), sample_mixture(rng)
         cls = discrim.classify_pair(c1, c2)
         if cls.margins and min(abs(v) for v in cls.margins.values()) < TREE_SLACK:
-            discarded += 1
             continue
-        retained += 1
-        single = oracle.brute_max_single(c1, c2, cfg).value
-        ent = oracle.brute_max_entangled(c1, c2, cfg, mode="restricted").value
-        oracle_useful = (ent - single) > TREE_GAP
+        kept.append((c1, c2, cls))
+    brutes = oracle.brute_max_many([(c1, c2) for c1, c2, _ in kept], cfg)
+    failures = []
+    for (c1, c2, cls), (single, ent) in zip(kept, brutes):
+        oracle_useful = (ent.value - single.value) > TREE_GAP
         if oracle_useful != cls.useful:
             full = oracle.brute_max_entangled(c1, c2, cfg, mode="full").value
-            oracle_useful = (max(ent, full) - single) > TREE_GAP
+            oracle_useful = (max(ent.value, full) - single.value) > TREE_GAP
         if oracle_useful != cls.useful:
             failures.append(
                 {
                     **channels.format_pair(c1, c2),
                     "node": cls.node,
                     "classified_useful": cls.useful,
-                    "single": single,
-                    "entangled": ent,
+                    "single": single.value,
+                    "entangled": ent.value,
                 }
             )
     return {
         "mode": "tree",
         "samples": samples,
         "seed": seed,
-        "retained": retained,
-        "discarded": discarded,
+        "retained": len(kept),
+        "discarded": samples - len(kept),
         "slack_threshold": TREE_SLACK,
         "gap_threshold": TREE_GAP,
+        "seesaw_steps": _seesaw_steps(itertools.chain(*brutes)),
         "failures": failures,
-        "passed": retained > 0 and not failures,
+        "passed": bool(kept) and not failures,
     }
 
 

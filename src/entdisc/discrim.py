@@ -104,6 +104,7 @@ class DistanceResult:
     branch: str
     scan_resolution: int = 0
     converged: bool = True  # False when a search stopped at its iteration cap
+    iterations: int = 0  # see-saw steps of the winning search row; 0 for closed forms
 
 
 @dataclass

@@ -8,7 +8,10 @@ tree.  Grid evaluations are batched through numpy (including LAPACK's
 batched Hermitian eigensolver for the 4x4 case), which keeps the
 acceptance sweeps fast.
 
-The three searches share one maximizer, :func:`_seesaw`.  By the
+The three searches share one maximizer, :func:`_seesaw`, whose rows each
+carry their own superoperator: a check runs the Bloch (or restricted)
+searches of all its pairs as the rows of one see-saw
+(:func:`brute_max_many`), and a one-pair search is a one-row call.  By the
 Helstrom/diamond-norm duality (Watrous, arXiv:1207.5726) the largest
 ||Delta(psi psi^dag)||_1 is the largest <psi| Delta^dag(O) |psi> over
 probes psi and observables -1 <= O <= 1, and for a fixed psi the best O is
@@ -16,7 +19,8 @@ sign(Delta(psi psi^dag)).  The see-saw alternates the two maximizations,
 both eigen-steps, for a batch of starts in lockstep.  The searches differ
 only in the probe subspace and the starts:
 
-* Bloch: all of C^2, from the best point of a (polar, azimuth) grid;
+* Bloch: all of C^2, from the best point of a (polar, azimuth) grid, its
+  trace norms read off the affine Bloch picture (:func:`_bloch_values`);
 * restricted: span{|00>, |11>}, from the best interior point of a grid
   over the Schmidt weight t of sqrt(1 - t)|00> + sqrt(t)|11>.  A relative
   phase on |11> is undone exactly by diag(1, e^{-i eta}) on the reference
@@ -34,7 +38,9 @@ multistarts, and ties are broken toward the lowest index.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +67,19 @@ class SearchConfig:
     rng_seed: int = 42
 
     def __post_init__(self):
-        if self.grid_points < 64:
-            raise ValueError("grid_points must be >= 64")
-        if self.multistarts < 16:
-            raise ValueError("multistarts must be >= 16")
-        if not self.refine_tol > 0.0:
-            raise ValueError("refine_tol must be positive")
+        for name, least in (("grid_points", 64), ("multistarts", 16)):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {count!r}")
+            if count < least:
+                raise ValueError(f"{name} must be >= {least}")
+        tol = self.refine_tol
+        if (
+            isinstance(tol, bool)
+            or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol > 0.0)
+        ):
+            raise ValueError(f"refine_tol must be finite and positive, got {tol!r}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
@@ -154,12 +167,25 @@ def _delta_superop(c1, c2, extended: bool) -> np.ndarray:
     return channels.superoperator(c1, extended) - channels.superoperator(c2, extended)
 
 
-def _delta_batch(lmat: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _superops(pairs, extended: bool) -> np.ndarray:
+    """The difference superoperators of channel pairs, stacked one per row."""
+    return np.stack([_delta_superop(c1, c2, extended) for c1, c2 in pairs])
+
+
+def _apply(lmats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Each row of ``vecs`` through its superoperator: ``lmats`` is one
+    d^2 x d^2 matrix shared by every row, or a stack with one per row."""
+    if lmats.ndim == 2:
+        return vecs @ lmats.T
+    return (lmats @ vecs[:, :, None])[:, :, 0]
+
+
+def _delta_batch(lmats: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Output differences for a batch of pure probe states."""
-    dim = states.shape[1]
+    k = states.shape[1]
     rhos = states[:, :, None] * states.conj()[:, None, :]
-    d = rhos.reshape(-1, dim * dim) @ lmat.T
-    return d.reshape(-1, dim, dim)
+    dim = math.isqrt(lmats.shape[-2])
+    return _apply(lmats, rhos.reshape(-1, k * k)).reshape(-1, dim, dim)
 
 
 def _delta(c1, c2, psi, extended: bool) -> np.ndarray:
@@ -177,59 +203,66 @@ def delta_entangled(c1, c2, psi: PureState4) -> np.ndarray:
     return _delta(c1, c2, psi, extended=True)
 
 
-def _tracenorm2_batch(d: np.ndarray) -> np.ndarray:
-    mean = 0.5 * np.real(d[:, 0, 0] + d[:, 1, 1])
-    disc = np.sqrt(
-        (0.5 * np.real(d[:, 0, 0] - d[:, 1, 1])) ** 2 + np.abs(d[:, 0, 1]) ** 2
-    )
-    return np.abs(mean + disc) + np.abs(mean - disc)
-
-
 def _tracenorm4_batch(d: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
 
 
-def _seesaw(lmat: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol: float):
+def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol):
     """Lockstep Helstrom see-saw from every row of ``states``.
 
-    A step takes the Helstrom observable O = sign(D) of D = Delta(psi psi^dag)
-    from an ``eigh`` and moves psi to the top eigenvector of M = Delta^dag(O)
+    Row i runs on the superoperator ``lmats[i]`` (rows x d^2 x d^2); a
+    single d^2 x d^2 ``lmats`` is shared by every row.  A step takes the
+    Helstrom observable O = sign(D) of D = Delta(psi psi^dag) from an
+    ``eigh`` and moves psi to the top eigenvector of M = Delta^dag(O)
     compressed to the columns of ``basis``; as ||D||_1 = <psi|M|psi>, no step
     lowers it.  A row keeps its best state and stops after its first step
-    that gains less than ``refine_tol``, or at ``_MAX_STEPS``.  Returns the
-    best values, their states and the indices of the rows stopped at the cap.
+    that gains less than ``refine_tol``, or at ``_MAX_STEPS``; rows never
+    mix, so a row's result does not depend on the others.  Returns the best
+    values, their states, the steps each row ran and the indices of the
+    rows stopped at the cap.
     """
-    dim = states.shape[1]
-    psi = np.array(states, dtype=complex)
-    w, v = np.linalg.eigh(_delta_batch(lmat, psi))
-    best = np.sum(np.abs(w), axis=1)
-    running = np.arange(len(psi))
-    for _ in range(_MAX_STEPS):
+    dim, k = basis.shape
+    # probes in the basis: vec(B X B^T) = (B (x) B) vec(X), and
+    # vec(B^T M B) = forward^dag vec(O) for vec(M) = L^dag vec(O)
+    forward = lmats @ np.kron(basis, basis)
+    adjoint = np.swapaxes(forward, -1, -2).conj()
+    w, v = np.linalg.eigh(_delta_batch(lmats, states))
+    start = np.sum(np.abs(w), axis=1)
+    best = start.copy()
+    coords = states @ basis
+    steps = np.full(len(states), _MAX_STEPS)
+    running = np.arange(len(states))
+    for step in range(1, _MAX_STEPS + 1):
         if running.size == 0:
             break
         obs = (v * np.sign(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        # Tr(O Delta(rho)) = Tr(M rho) for Hermitian O gives vec(M) = L^dag vec(O)
-        m = (obs.reshape(-1, dim * dim) @ lmat.conj()).reshape(-1, dim, dim)
-        _, u = np.linalg.eigh(basis.T @ m @ basis)
-        trial = u[:, :, -1] @ basis.T
-        w, v = np.linalg.eigh(_delta_batch(lmat, trial))
-        value = np.sum(np.abs(w), axis=1)
+        m = _apply(adjoint, obs.reshape(-1, dim * dim)).reshape(-1, k, k)
+        trial = np.linalg.eigh(m)[1][:, :, -1]
+        w, v = np.linalg.eigh(_delta_batch(forward, trial))
+        value = np.abs(w).sum(axis=1)
         gain = value - best[running]
         up = gain > 0.0
-        psi[running[up]], best[running[up]] = trial[up], value[up]
+        coords[running[up]], best[running[up]] = trial[up], value[up]
         keep = gain >= refine_tol
-        running, w, v = running[keep], w[keep], v[keep]
-    return best, psi, running
+        if not keep.all():
+            steps[running[~keep]] = step
+            running, w, v = running[keep], w[keep], v[keep]
+            if forward.ndim == 3:
+                forward, adjoint = forward[keep], adjoint[keep]
+    psi = np.where((best > start)[:, None], coords @ basis.T, states)
+    return best, psi, steps, running
 
 
-def _grid_seesaw(lmat, grid_states, values, start: int, basis, refine_tol: float):
-    """See-saw from grid row ``start``; the best grid point wins if higher.
-    Returns the value, its state and whether the see-saw converged."""
-    best, psi, capped = _seesaw(lmat, grid_states[start : start + 1], basis, refine_tol)
-    i = int(np.argmax(values))
-    if values[i] > best[0]:
-        return float(values[i]), grid_states[i], capped.size == 0
-    return float(best[0]), psi[0], capped.size == 0
+def _grid_seesaw(lmats, starts, top_values, top_states, basis, refine_tol: float):
+    """See-saw from each row of ``starts``; a row's best grid point wins if
+    higher.  Returns the values, their states, the steps each row ran and
+    whether it converged."""
+    best, psi, steps, capped = _seesaw(lmats, starts, basis, refine_tol)
+    grid_wins = top_values > best
+    best[grid_wins], psi[grid_wins] = top_values[grid_wins], top_states[grid_wins]
+    converged = np.ones(len(best), dtype=bool)
+    converged[capped] = False
+    return best, psi, steps, converged
 
 
 def _bloch_states(params: np.ndarray) -> np.ndarray:
@@ -240,24 +273,64 @@ def _bloch_states(params: np.ndarray) -> np.ndarray:
     )
 
 
-def brute_max_single(c1, c2, cfg: SearchConfig = DEFAULT_CONFIG) -> DistanceResult:
-    """Maximize the output trace distance over the Bloch sphere.
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+)
+# columns vec(sigma_j / 2); rows reading tr(sigma_k A) / 2 off vec(A)
+_PAULI_HALVES = _PAULI.reshape(4, 4).T / 2.0
+_PAULI_COORDS = _PAULI.conj().reshape(4, 4) / 2.0
 
-    Uniform (polar, azimuth) grid with cfg.grid_points per axis, then the
-    see-saw over all of C^2 from the best grid point.  arg is the weight
-    on |1> of the winning probe.
-    """
-    lmat = _delta_superop(c1, c2, extended=False)
-    n = cfg.grid_points
+
+@functools.lru_cache(maxsize=4)
+def _bloch_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform (polar, azimuth) grid with n points per axis, and the
+    affine Bloch coordinates r = (1, x, y, z) of its points, read-only."""
     polar = np.linspace(0.0, math.pi, n)
     azim = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    grid = np.stack([g.ravel() for g in np.meshgrid(polar, azim, indexing="ij")], axis=1)
-    states = _bloch_states(grid)
-    values = _tracenorm2_batch(_delta_batch(lmat, states))
-    best, psi, converged = _grid_seesaw(
-        lmat, states, values, int(np.argmax(values)), np.eye(2), cfg.refine_tol
+    mesh = np.meshgrid(polar, azim, indexing="ij")
+    params = np.stack([g.ravel() for g in mesh], axis=1)
+    p, a = params[:, 0], params[:, 1]
+    x, y = np.sin(p) * np.cos(a), np.sin(p) * np.sin(a)
+    r = np.stack([np.ones_like(p), x, y, np.cos(p)], axis=1)
+    params.setflags(write=False)
+    r.setflags(write=False)
+    return params, r
+
+
+def _bloch_values(lmat: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """||Delta(rho)||_1 at Bloch points r = (1, x, y, z).
+
+    rho = sum_j r_j sigma_j / 2, so D = c0 I + c.sigma is affine in r, its
+    Pauli coordinates are r times those of the four outputs
+    Delta(sigma_j / 2), and ||D||_1 = 2 max(|c0|, |c|).
+    """
+    c = r @ np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES).T
+    return 2.0 * np.maximum(np.abs(c[:, 0]), np.sqrt(np.sum(c[:, 1:] ** 2, axis=1)))
+
+
+def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResult]:
+    """Bloch search for each row of ``lmats`` (qubit superoperators).
+
+    The uniform (polar, azimuth) grid with cfg.grid_points per axis, one
+    row at a time, then one see-saw over all of C^2 from every row's best
+    grid point.  arg is the weight on |1> of the winning probe.
+    """
+    n = cfg.grid_points
+    params, r = _bloch_grid(n)
+    tops, top_values = [], []
+    for lmat in lmats:
+        values = _bloch_values(lmat, r)
+        tops.append(int(np.argmax(values)))
+        top_values.append(values[tops[-1]])
+    starts = _bloch_states(params[tops])
+    best, psi, steps, converged = _grid_seesaw(
+        lmats, starts, np.array(top_values), starts, np.eye(2), cfg.refine_tol
     )
-    return DistanceResult(best, float(abs(psi[1]) ** 2), "bloch-grid", n, converged)
+    return [
+        DistanceResult(float(b), float(abs(p[1]) ** 2), "bloch-grid", n,
+                       bool(c), int(s))
+        for b, p, c, s in zip(best, psi, converged, steps)
+    ]
 
 
 def _schmidt_states(params: np.ndarray) -> np.ndarray:
@@ -269,24 +342,32 @@ def _schmidt_states(params: np.ndarray) -> np.ndarray:
     return states
 
 
-def _restricted_engine(c1, c2, cfg: SearchConfig):
-    """Grid over the Schmidt weight t, then the see-saw on span{|00>, |11>}
-    from the best interior grid point; returns the result and its probe.
+def _restricted_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResult]:
+    """Restricted search for each row of ``lmats`` (two-qubit superoperators).
 
-    A product probe (t = 0 or 1) is a fixed point of the see-saw, so the
-    search starts inside and keeps the best grid value when it is higher.
-    arg is the weight t on |11>.
+    A grid over the Schmidt weight t, one row at a time, then one see-saw
+    on span{|00>, |11>} from every row's best interior grid point.  A
+    product probe (t = 0 or 1) is a fixed point of the see-saw, so each row
+    starts inside and keeps its best grid value when that is higher.  arg
+    is the weight t on |11>.
     """
-    lmat = _delta_superop(c1, c2, extended=True)
     states = _schmidt_states(np.linspace(0.0, 1.0, cfg.grid_points)[:, None])
-    values = _tracenorm4_batch(_delta_batch(lmat, states))
-    start = 1 + int(np.argmax(values[1:-1]))
-    best, psi, converged = _grid_seesaw(
-        lmat, states, values, start, np.eye(4)[:, [0, 3]], cfg.refine_tol
+    starts, tops, top_values = [], [], []
+    for lmat in lmats:
+        values = _tracenorm4_batch(_delta_batch(lmat, states))
+        starts.append(1 + int(np.argmax(values[1:-1])))
+        tops.append(int(np.argmax(values)))
+        top_values.append(values[tops[-1]])
+    best, psi, steps, converged = _grid_seesaw(
+        lmats, states[starts], np.array(top_values), states[tops],
+        np.eye(4)[:, [0, 3]], cfg.refine_tol,
     )
-    t = min(float(abs(psi[3]) ** 2), 1.0)
-    result = DistanceResult(best, t, "restricted", cfg.grid_points, converged)
-    return result, PureState4.schmidt(math.sqrt(1.0 - t), math.sqrt(t))
+    n = cfg.grid_points
+    return [
+        DistanceResult(float(b), min(float(abs(p[3]) ** 2), 1.0), "restricted", n,
+                       bool(c), int(s))
+        for b, p, c, s in zip(best, psi, converged, steps)
+    ]
 
 
 def _pair_states(params: np.ndarray) -> np.ndarray:
@@ -303,17 +384,32 @@ def _pair_states(params: np.ndarray) -> np.ndarray:
 
 def _full_engine(c1, c2, cfg: SearchConfig) -> DistanceResult:
     """Lockstep see-saw over all of C^4 from seeded pair-chart starts, t,
-    polar and azimuth drawn uniformly in turn; the lowest start index wins
-    ties.  arg is the weight on |11> of the winning probe."""
+    polar and azimuth drawn uniformly in turn, every start on the pair's one
+    superoperator; the lowest start index wins ties.  arg is the weight on
+    |11> of the winning probe."""
     lmat = _delta_superop(c1, c2, extended=True)
     rng = np.random.default_rng(np.random.PCG64(cfg.rng_seed))
     k = cfg.multistarts
     ranges = ((0.0, 1.0), (0.0, math.pi), (0.0, 2.0 * math.pi))
     starts = np.stack([rng.uniform(lo, hi, size=k) for lo, hi in ranges], axis=1)
-    best, psi, capped = _seesaw(lmat, _pair_states(starts), np.eye(4), cfg.refine_tol)
+    best, psi, steps, capped = _seesaw(
+        lmat, _pair_states(starts), np.eye(4), cfg.refine_tol
+    )
     i = int(np.argmax(best))
     weight = float(abs(psi[i, 3]) ** 2)
-    return DistanceResult(float(best[i]), weight, "full", k, capped.size == 0)
+    return DistanceResult(
+        float(best[i]), weight, "full", k, capped.size == 0, int(steps[i])
+    )
+
+
+def brute_max_single(c1, c2, cfg: SearchConfig = DEFAULT_CONFIG) -> DistanceResult:
+    """Maximize the output trace distance over the Bloch sphere.
+
+    Uniform (polar, azimuth) grid with cfg.grid_points per axis, then the
+    see-saw over all of C^2 from the best grid point.  arg is the weight
+    on |1> of the winning probe.
+    """
+    return _bloch_rows(_superops([(c1, c2)], extended=False), cfg)[0]
 
 
 def brute_max_entangled(
@@ -328,18 +424,36 @@ def brute_max_entangled(
     pure two-qubit state by seeded multistart ascent over the pair chart.
     """
     if mode == "restricted":
-        return _restricted_engine(c1, c2, cfg)[0]
+        return _restricted_rows(_superops([(c1, c2)], extended=True), cfg)[0]
     if mode == "full":
         return _full_engine(c1, c2, cfg)
     raise ValueError(f"mode must be 'restricted' or 'full', got {mode!r}")
+
+
+def brute_max_many(
+    pairs, cfg: SearchConfig = DEFAULT_CONFIG
+) -> list[tuple[DistanceResult, DistanceResult]]:
+    """``(brute_max_single, restricted brute_max_entangled)`` for every pair.
+
+    Each search is one row of a see-saw over all the pairs: one for the
+    Bloch searches, one for the restricted ones.  Rows never mix, so every
+    result equals its one-pair call.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    single = _bloch_rows(_superops(pairs, extended=False), cfg)
+    restricted = _restricted_rows(_superops(pairs, extended=True), cfg)
+    return list(zip(single, restricted))
 
 
 def optimal_entangled_probe(
     c1, c2, cfg: SearchConfig = DEFAULT_CONFIG
 ) -> tuple[PureState4, DistanceResult]:
     """Best probe from the restricted search, with its achieved distance."""
-    result, state = _restricted_engine(c1, c2, cfg)
-    return state, result
+    result = _restricted_rows(_superops([(c1, c2)], extended=True), cfg)[0]
+    t = result.arg
+    return PureState4.schmidt(math.sqrt(1.0 - t), math.sqrt(t)), result
 
 
 def helstrom(delta) -> Measurement:

@@ -57,6 +57,24 @@ class TestSearchConfig:
             SearchConfig(refine_tol=0.0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             SearchConfig(rng_seed=-1)
+        # counts that fail deep in numpy, and tolerances that stop every
+        # see-saw row after one step or never
+        for field, value in [
+            ("grid_points", 96.5),
+            ("grid_points", True),
+            ("multistarts", 16.5),
+            ("multistarts", "24"),
+            ("refine_tol", float("inf")),
+            ("refine_tol", float("nan")),
+            ("refine_tol", -1e-12),
+            ("refine_tol", "1e-15"),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                SearchConfig(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = SearchConfig(grid_points=np.int64(96), multistarts=np.int32(16))
+        assert cfg.grid_points == 96 and cfg.multistarts == 16
 
 
 class TestDeltas:
@@ -364,13 +382,15 @@ class TestConvergence:
         starts = oracle._schmidt_states(np.array([[0.0], [0.5]]))
         basis = np.eye(4)[:, [0, 3]]
         monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
-        best, states, capped = oracle._seesaw(lmat, starts, basis, 1e-15)
+        best, states, steps, capped = oracle._seesaw(lmat, starts, basis, 1e-15)
         assert capped.tolist() == [1]
+        assert steps.tolist() == [1, 2]
         np.testing.assert_array_equal(states[0], starts[0])
         assert best[1] < closed - 1e-9
         monkeypatch.undo()
-        best, _, capped = oracle._seesaw(lmat, starts, basis, 1e-15)
+        best, _, steps, capped = oracle._seesaw(lmat, starts, basis, 1e-15)
         assert capped.tolist() == []
+        assert steps[0] == 1 and 2 < steps[1] <= oracle._MAX_STEPS
         assert best[1] == pytest.approx(closed, abs=1e-12)
 
     def test_lemma2_counts_unconverged_full_searches(self, monkeypatch):
@@ -379,3 +399,131 @@ class TestConvergence:
         assert rep["full_unconverged"] == 0
         monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
         assert checks.check_lemma2(3, 202, self.CFG)["full_unconverged"] == 3
+
+
+class TestBatchedEngine:
+    # the search budget of `entdisc verify`
+    CFG = SearchConfig(grid_points=96, multistarts=16, rng_seed=7)
+
+    @staticmethod
+    def pairs(seed, count):
+        rng = np.random.default_rng(seed)
+        return [random_pair(rng, mixtures=k % 2 == 1) for k in range(count)]
+
+    def test_many_equals_one_pair_calls(self):
+        pairs = self.pairs(61, 40)
+        batched = oracle.brute_max_many(pairs, self.CFG)
+        for (c1, c2), (single, restricted) in zip(pairs, batched):
+            assert single == oracle.brute_max_single(c1, c2, self.CFG)
+            assert restricted == oracle.brute_max_entangled(c1, c2, self.CFG)
+        assert oracle.brute_max_many([], self.CFG) == []
+
+    def test_capped_row_leaves_the_other_rows_alone(self, monkeypatch):
+        c = QubitChannel.extremal(0.9, 0.4)
+        slow = TestConvergence.lemma2_pairs(3)[2]
+        pairs = [(c, c), PRODUCT_TRAP, slow, *self.pairs(62, 5)]
+        free = [r for c1, c2 in pairs for r in (
+            oracle.brute_max_single(c1, c2, self.CFG),
+            oracle.brute_max_entangled(c1, c2, self.CFG),
+        )]
+        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
+        capped = [r for pair in oracle.brute_max_many(pairs, self.CFG) for r in pair]
+        stopped = [k for k, r in enumerate(free) if r.iterations <= 2]
+        assert 0 < len(stopped) < len(free)
+        for k, (alone, batched) in enumerate(zip(free, capped)):
+            if k in stopped:
+                assert batched == alone
+            else:
+                assert batched.converged is False and batched.iterations == 2
+
+    @pytest.mark.parametrize("grid", [96, 128])
+    def test_affine_bloch_grid_matches_outer_products(self, grid):
+        params, r = oracle._bloch_grid(grid)
+        states = oracle._bloch_states(params)
+        lmats = list(oracle._superops(self.pairs(63, 10), extended=False))
+        # the channel family is real; unitary channels U X U^dag, with
+        # vec(U X U^dag) = (U (x) conj U) vec(X), also have complex outputs
+        rng = np.random.default_rng(65)
+        for _ in range(4):
+            u1, u2 = (
+                np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                for _ in range(2)
+            )
+            lmats.append(np.kron(u1, u1.conj()) - np.kron(u2, u2.conj()))
+        for lmat in lmats:
+            d = oracle._delta_batch(lmat, states)
+            reference = np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
+            assert np.max(np.abs(oracle._bloch_values(lmat, r) - reference)) < 1e-14
+
+    @staticmethod
+    def per_pair_tree(samples, seed, cfg):
+        """check_tree as a plain loop of one-pair searches."""
+        rng = checks._rng(seed)
+        retained, failures, steps = 0, [], []
+        for k in range(samples):
+            if k % 2 == 0:
+                c1, c2 = checks.sample_extremal(rng), checks.sample_extremal(rng)
+            else:
+                c1, c2 = checks.sample_mixture(rng), checks.sample_mixture(rng)
+            cls = discrim.classify_pair(c1, c2)
+            slack = min((abs(v) for v in cls.margins.values()), default=math.inf)
+            if slack < checks.TREE_SLACK:
+                continue
+            retained += 1
+            single = oracle.brute_max_single(c1, c2, cfg)
+            ent = oracle.brute_max_entangled(c1, c2, cfg)
+            steps += [single.iterations, ent.iterations]
+            useful = ent.value - single.value > checks.TREE_GAP
+            if useful != cls.useful:
+                full = oracle.brute_max_entangled(c1, c2, cfg, mode="full").value
+                useful = max(ent.value, full) - single.value > checks.TREE_GAP
+            if useful != cls.useful:
+                failures.append(
+                    {
+                        **channels.format_pair(c1, c2),
+                        "node": cls.node,
+                        "classified_useful": cls.useful,
+                        "single": single.value,
+                        "entangled": ent.value,
+                    }
+                )
+        return {
+            "mode": "tree",
+            "samples": samples,
+            "seed": seed,
+            "retained": retained,
+            "discarded": samples - retained,
+            "slack_threshold": checks.TREE_SLACK,
+            "gap_threshold": checks.TREE_GAP,
+            "seesaw_steps": {
+                "rows": len(steps), "max": max(steps), "total": sum(steps)
+            },
+            "failures": failures,
+            "passed": retained > 0 and not failures,
+        }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_check_tree_equals_per_pair_loop(self, seed):
+        cfg = SearchConfig(grid_points=96, multistarts=16, rng_seed=seed)
+        assert checks.check_tree(8, seed, cfg) == self.per_pair_tree(8, seed, cfg)
+
+    def test_step_counts_are_deterministic_and_capped(self):
+        reports = [
+            checks.check_lemma1(6, 3, self.CFG),
+            checks.check_lemma2(3, 3, self.CFG),
+            checks.check_quasi_extreme(6, 3, self.CFG),
+            checks.check_tree(8, 3, self.CFG),
+        ]
+        again = checks.check_tree(8, 3, self.CFG)
+        assert again["seesaw_steps"] == reports[-1]["seesaw_steps"]
+        for rep in reports:
+            steps = rep["seesaw_steps"]
+            assert 1 <= steps["max"] <= oracle._MAX_STEPS
+            assert steps["rows"] <= steps["total"] <= steps["rows"] * steps["max"]
+        for c1, c2 in self.pairs(64, 4):
+            for r in oracle.brute_max_many([(c1, c2)], self.CFG)[0]:
+                assert 1 <= r.iterations <= oracle._MAX_STEPS
+            full = oracle.brute_max_entangled(c1, c2, self.CFG, mode="full")
+            assert 1 <= full.iterations <= oracle._MAX_STEPS
+            params = discrim.compute_params(c1, c2)
+            assert params.single.iterations == params.entangled.iterations == 0

@@ -1,0 +1,86 @@
+"""Symmetry and range properties of the closed forms, over drawn channel pairs.
+
+Swapping the two channels negates every discrimination parameter, and
+swapping phi and theta in both channels exchanges alpha and beta (the
+mirror s -> 1 - s of the profiles); neither changes a distance or, away
+from a tree split, a verdict.  The examples come from the derandomized
+profile in ``conftest.py``.
+"""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from entdisc import checks, discrim  # noqa: E402
+from entdisc.channels import ExtremalChannel, QubitChannel  # noqa: E402
+
+DIST_TOL = 1e-12
+angle = st.floats(0.0, math.pi)
+# (lam, (phi, theta), (phi2, theta2)); lam = 1 is an extremal channel
+channel_spec = st.one_of(
+    st.tuples(st.just(1.0), st.tuples(angle, angle), st.tuples(angle, angle)),
+    st.tuples(st.floats(0.0, 1.0), st.tuples(angle, angle), st.tuples(angle, angle)),
+)
+
+
+def build(spec, swap_angles=False):
+    lam, *parts = spec
+    first, second = (
+        ExtremalChannel(*(part[::-1] if swap_angles else part)) for part in parts
+    )
+    if lam == 1.0:
+        return QubitChannel.extremal(first.phi, first.theta)
+    return QubitChannel.mixture(lam, first, second)
+
+
+def settled(cls) -> bool:
+    """A verdict away from every tree split, where it must be exact."""
+    return not cls.boundary and not (
+        cls.margins and min(abs(v) for v in cls.margins.values()) < checks.TREE_SLACK
+    )
+
+
+def assert_same_answer(a, b):
+    assert abs(a.params.single.value - b.params.single.value) <= DIST_TOL
+    assert abs(a.params.entangled.value - b.params.entangled.value) <= DIST_TOL
+    if settled(a) and settled(b):
+        assert a.useful == b.useful
+
+
+@hypothesis.given(channel_spec, channel_spec)
+def test_swapping_channels_changes_nothing(spec1, spec2):
+    c1, c2 = build(spec1), build(spec2)
+    assert_same_answer(discrim.classify_pair(c1, c2), discrim.classify_pair(c2, c1))
+
+
+@hypothesis.given(channel_spec, channel_spec)
+def test_swapping_phi_and_theta_changes_nothing(spec1, spec2):
+    plain = discrim.classify_pair(build(spec1), build(spec2))
+    swapped = discrim.classify_pair(build(spec1, True), build(spec2, True))
+    assert_same_answer(plain, swapped)
+
+
+@hypothesis.given(channel_spec, channel_spec)
+def test_distances_lie_in_range(spec1, spec2):
+    p = discrim.compute_params(build(spec1), build(spec2))
+    for value in (p.single.value, p.entangled.value):
+        assert 0.0 <= value <= 2.0 + DIST_TOL
+
+
+def entangled_profile(p, s):
+    """E(s) in the regime that ``max_distance_entangled`` maximizes."""
+    ab = p.alpha * p.beta
+    if p.gamma_M**2 <= ab:
+        return 2.0 * abs((1.0 - s) * p.alpha + s * p.beta)
+    if p.gamma_m**2 < ab:
+        return discrim.G_mixed(p, s)
+    return discrim.f_entangled(p, s)
+
+
+@hypothesis.given(channel_spec, channel_spec, st.floats(0.0, 1.0))
+def test_entangled_profile_dominates_single(spec1, spec2, s):
+    p = discrim.compute_params(build(spec1), build(spec2))
+    assert entangled_profile(p, s) >= discrim.g_single(p, s) - DIST_TOL
