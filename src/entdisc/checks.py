@@ -5,8 +5,8 @@ Each check draws reproducible samples from a PCG64 stream, runs the
 relevant comparison, and returns a plain report dict with the worst
 deviation and the full inputs of any failing sample.  A check draws all
 its pairs first and then runs their Bloch and restricted oracle searches
-as the rows of one see-saw each; its report gives their step counts
-(``seesaw_steps``).
+as the rows of one see-saw each; its report gives their step counts and
+the number of rows stopped at the step cap (``seesaw_steps``).
 """
 
 from __future__ import annotations
@@ -65,9 +65,15 @@ def _draw_pairs(samples: int, rng, sample) -> list:
 def _seesaw_steps(results) -> dict:
     """See-saw steps of a check's Bloch and restricted searches, one row
     each: a batch costs its longest row (max), a per-pair loop every row
-    (total)."""
+    (total); ``capped`` counts the rows stopped at the step cap."""
+    results = list(results)
     steps = [r.iterations for r in results]
-    return {"rows": len(steps), "max": max(steps, default=0), "total": sum(steps)}
+    return {
+        "rows": len(steps),
+        "max": max(steps, default=0),
+        "total": sum(steps),
+        "capped": sum(not r.converged for r in results),
+    }
 
 
 def check_lemma1(

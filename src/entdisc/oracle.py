@@ -16,8 +16,12 @@ Helstrom/diamond-norm duality (Watrous, arXiv:1207.5726) the largest
 ||Delta(psi psi^dag)||_1 is the largest <psi| Delta^dag(O) |psi> over
 probes psi and observables -1 <= O <= 1, and for a fixed psi the best O is
 sign(Delta(psi psi^dag)).  The see-saw alternates the two maximizations,
-both eigen-steps, for a batch of starts in lockstep.  The searches differ
-only in the probe subspace and the starts:
+both eigen-steps, for a batch of starts in lockstep.  The iterates often
+converge only linearly, so each row also tries the vector Aitken
+(Delta^2) extrapolation of its last three iterates and moves there only
+when that strictly raises its value; a see-saw step from any state never
+lowers the value, so every row stays monotone and fixed points stay
+fixed.  The searches differ only in the probe subspace and the starts:
 
 * Bloch: all of C^2, from the best point of a (polar, azimuth) grid, its
   trace norms read off the affine Bloch picture (:func:`_bloch_values`);
@@ -67,12 +71,12 @@ class SearchConfig:
     rng_seed: int = 42
 
     def __post_init__(self):
-        for name, least in (("grid_points", 64), ("multistarts", 16)):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise ValueError(f"{name} must be an int, got {count!r}")
-            if count < least:
-                raise ValueError(f"{name} must be >= {least}")
+        for name, least in (("grid_points", 64), ("multistarts", 16), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         tol = self.refine_tol
         if (
             isinstance(tol, bool)
@@ -80,8 +84,6 @@ class SearchConfig:
             or not (math.isfinite(tol) and tol > 0.0)
         ):
             raise ValueError(f"refine_tol must be finite and positive, got {tol!r}")
-        if self.rng_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -131,11 +133,6 @@ class PureState4:
     @classmethod
     def schmidt(cls, a0: complex, a1: complex) -> "PureState4":
         return cls((complex(a0), 0j, 0j, complex(a1)))
-
-    @classmethod
-    def product(cls, left: PureState2, right: PureState2) -> "PureState4":
-        amps = np.kron(left.vector, right.vector)
-        return cls(tuple(complex(x) for x in amps))
 
     @property
     def vector(self) -> np.ndarray:
@@ -207,6 +204,34 @@ def _tracenorm4_batch(d: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
 
 
+def _aligned(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` times the phase that makes <ref|x> real and >= 0."""
+    overlap = np.sum(ref.conj() * x, axis=1)
+    size = np.abs(overlap)
+    phase = np.ones_like(overlap)
+    np.divide(overlap.conj(), size, out=phase, where=size > 0.0)
+    return x * phase[:, None]
+
+
+def _extrapolated(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """One vector Aitken (Delta^2) step per row from three iterates.
+
+    With d = x2 - x1 and Delta^2 x = d - (x1 - x0), the step is
+    y = x2 - lambda d for lambda = Re<Delta^2 x, d> / ||Delta^2 x||^2 (0 when
+    Delta^2 x = 0): the limit of iterates that converge geometrically along
+    one direction.  y is normalized; a row with y = 0 keeps x2.
+    """
+    d = x2 - x1
+    dd = d - (x1 - x0)
+    den = np.sum(np.abs(dd) ** 2, axis=1)
+    lam = np.zeros(len(d))
+    np.divide(np.real(np.sum(dd.conj() * d, axis=1)), den, out=lam, where=den > 0.0)
+    y = x2 - lam[:, None] * d
+    norm = np.linalg.norm(y, axis=1, keepdims=True)
+    np.divide(y, norm, out=y, where=norm > 0.0)
+    return np.where(norm > 0.0, y, x2)
+
+
 def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol):
     """Lockstep Helstrom see-saw from every row of ``states``.
 
@@ -215,11 +240,23 @@ def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol
     Helstrom observable O = sign(D) of D = Delta(psi psi^dag) from an
     ``eigh`` and moves psi to the top eigenvector of M = Delta^dag(O)
     compressed to the columns of ``basis``; as ||D||_1 = <psi|M|psi>, no step
-    lowers it.  A row keeps its best state and stops after its first step
-    that gains less than ``refine_tol``, or at ``_MAX_STEPS``; rows never
-    mix, so a row's result does not depend on the others.  Returns the best
-    values, their states, the steps each row ran and the indices of the
-    rows stopped at the cap.
+    lowers it.
+
+    Near a maximum the steps often shrink only geometrically: on a
+    restricted row whose maximum is a product probe, 1 - t falls by about 5%
+    a step.  So once a row holds three iterates, each step also evaluates
+    their Delta^2 extrapolation (:func:`_extrapolated`; ``eigh`` fixes an
+    eigenvector only up to a phase, so each new one is first aligned to the
+    row's previous iterate).  The row moves there only when that strictly
+    raises its value, and its window of iterates then restarts.  A see-saw
+    step from any state never lowers its value, so no row's value ever
+    falls; a fixed point's iterates do not move, so it stays fixed.
+
+    A row keeps its best state and stops after its first step that gains
+    less than ``refine_tol``, or at ``_MAX_STEPS``; rows never mix, so a
+    row's result does not depend on the others.  Returns the best values,
+    their states, the steps each row ran and the indices of the rows
+    stopped at the cap.
     """
     dim, k = basis.shape
     # probes in the basis: vec(B X B^T) = (B (x) B) vec(X), and
@@ -230,6 +267,11 @@ def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol
     start = np.sum(np.abs(w), axis=1)
     best = start.copy()
     coords = states @ basis
+    # the running rows' last two iterates; a row is ``fresh`` while its
+    # window, restarted at its start or at an extrapolation, holds fewer
+    # than three
+    before = last = coords.copy()
+    fresh = np.ones(len(states), dtype=bool)
     steps = np.full(len(states), _MAX_STEPS)
     running = np.arange(len(states))
     for step in range(1, _MAX_STEPS + 1):
@@ -237,9 +279,19 @@ def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol
             break
         obs = (v * np.sign(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
         m = _apply(adjoint, obs.reshape(-1, dim * dim)).reshape(-1, k, k)
-        trial = np.linalg.eigh(m)[1][:, :, -1]
+        trial = _aligned(np.linalg.eigh(m)[1][:, :, -1], last)
         w, v = np.linalg.eigh(_delta_batch(forward, trial))
         value = np.abs(w).sum(axis=1)
+        take = np.zeros_like(fresh)
+        if not fresh.all():
+            jump = np.where(fresh[:, None], trial, _extrapolated(before, last, trial))
+            wj, vj = np.linalg.eigh(_delta_batch(forward, jump))
+            jumped = np.abs(wj).sum(axis=1)
+            take = jumped > value
+            trial[take], w[take], v[take], value[take] = (
+                jump[take], wj[take], vj[take], jumped[take]
+            )
+        before, last, fresh = np.where(take[:, None], trial, last), trial, take
         gain = value - best[running]
         up = gain > 0.0
         coords[running[up]], best[running[up]] = trial[up], value[up]
@@ -247,6 +299,7 @@ def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol
         if not keep.all():
             steps[running[~keep]] = step
             running, w, v = running[keep], w[keep], v[keep]
+            before, last, fresh = before[keep], last[keep], fresh[keep]
             if forward.ndim == 3:
                 forward, adjoint = forward[keep], adjoint[keep]
     psi = np.where((best > start)[:, None], coords @ basis.T, states)

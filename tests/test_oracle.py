@@ -40,11 +40,9 @@ class TestStates:
         s = PureState2.from_bloch(math.pi / 2, 0.0)
         np.testing.assert_allclose(s.vector, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
-    def test_schmidt_and_product(self):
+    def test_schmidt(self):
         s = PureState4.schmidt(0.6, 0.8)
         np.testing.assert_allclose(s.vector, [0.6, 0, 0, 0.8])
-        prod = PureState4.product(PureState2(1, 0), PureState2(0, 1))
-        np.testing.assert_allclose(prod.vector, [0, 1, 0, 0])
 
 
 class TestSearchConfig:
@@ -68,13 +66,21 @@ class TestSearchConfig:
             ("refine_tol", float("nan")),
             ("refine_tol", -1e-12),
             ("refine_tol", "1e-15"),
+            # seeds that fail inside numpy's SeedSequence, fail to compare,
+            # or silently run as seed 1
+            ("rng_seed", 1.5),
+            ("rng_seed", float("nan")),
+            ("rng_seed", "3"),
+            ("rng_seed", True),
         ]:
             with pytest.raises(ValueError, match=field):
                 SearchConfig(**{field: value})
 
     def test_accepts_numpy_integer_counts(self):
-        cfg = SearchConfig(grid_points=np.int64(96), multistarts=np.int32(16))
-        assert cfg.grid_points == 96 and cfg.multistarts == 16
+        cfg = SearchConfig(
+            grid_points=np.int64(96), multistarts=np.int32(16), rng_seed=np.uint8(3)
+        )
+        assert cfg.grid_points == 96 and cfg.multistarts == 16 and cfg.rng_seed == 3
 
 
 class TestDeltas:
@@ -98,7 +104,7 @@ class TestDeltas:
         for _ in range(20):
             c1, c2 = random_pair(rng, mixtures=True)
             psi = PureState2.from_bloch(*rng.uniform(0, math.pi, 2))
-            probe = PureState4.product(PureState2(1, 0), psi)
+            probe = PureState4(tuple(np.kron([1, 0], psi.vector)))
             d2 = oracle.delta_single(c1, c2, psi)
             d4 = oracle.delta_entangled(c1, c2, probe)
             assert abs(
@@ -393,6 +399,52 @@ class TestConvergence:
         assert steps[0] == 1 and 2 < steps[1] <= oracle._MAX_STEPS
         assert best[1] == pytest.approx(closed, abs=1e-12)
 
+    def test_every_report_counts_capped_rows(self, monkeypatch):
+        reports = [
+            lambda: checks.check_lemma1(6, 3, self.CFG),
+            lambda: checks.check_lemma2(3, 3, self.CFG),
+            lambda: checks.check_quasi_extreme(6, 3, self.CFG),
+            lambda: checks.check_tree(8, 3, self.CFG),
+        ]
+        for report in reports:
+            assert report()["seesaw_steps"]["capped"] == 0
+        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
+        for report in reports:
+            steps = report()["seesaw_steps"]
+            assert 0 < steps["capped"] <= steps["rows"]
+            assert steps["max"] == 2
+
+    def test_product_probe_maximum_is_reached_not_crawled_to(self):
+        # a restricted row of `verify --mode tree --seed 1725131899` whose
+        # maximum is the product probe |00>: from the best interior grid
+        # point, plain see-saw steps shrink t by about 5% each and ran
+        # 1856 steps before stopping short of the endpoint
+        c1 = QubitChannel.mixture(
+            0.13023154547026672,
+            ExtremalChannel(2.6772833006734484, 0.8077800216169402),
+            ExtremalChannel(1.0357042591200658, 1.478547736364059),
+        )
+        c2 = QubitChannel.mixture(
+            0.7608705236667526,
+            ExtremalChannel(2.8553474380054444, 0.12650898375698397),
+            ExtremalChannel(2.105489668859063, 0.8221248033549091),
+        )
+        cfg = SearchConfig(grid_points=96, multistarts=16, rng_seed=1725131899)
+        closed = discrim.compute_params(c1, c2).entangled
+        assert closed.arg == 0.0
+        res = oracle.brute_max_entangled(c1, c2, cfg)
+        assert res.converged and res.iterations <= 50
+        assert res.value == pytest.approx(closed.value, abs=1e-12)
+
+    def test_quasi_extreme_searches_reach_their_maxima(self):
+        # criterion 3: no row stops at the cap, so the gap between the two
+        # searches is rounding, not the distance of a capped row
+        cfg = SearchConfig(grid_points=96, multistarts=16, rng_seed=303)
+        rep = checks.check_quasi_extreme(100, 303, cfg)
+        assert rep["max_gap"] < 1e-12
+        assert rep["seesaw_steps"]["max"] < oracle._MAX_STEPS
+        assert rep["seesaw_steps"]["capped"] == 0
+
     def test_lemma2_counts_unconverged_full_searches(self, monkeypatch):
         rep = checks.check_lemma2(3, 202, self.CFG)
         assert rep["passed"]
@@ -459,7 +511,7 @@ class TestBatchedEngine:
     def per_pair_tree(samples, seed, cfg):
         """check_tree as a plain loop of one-pair searches."""
         rng = checks._rng(seed)
-        retained, failures, steps = 0, [], []
+        retained, failures, steps, capped = 0, [], [], 0
         for k in range(samples):
             if k % 2 == 0:
                 c1, c2 = checks.sample_extremal(rng), checks.sample_extremal(rng)
@@ -473,6 +525,7 @@ class TestBatchedEngine:
             single = oracle.brute_max_single(c1, c2, cfg)
             ent = oracle.brute_max_entangled(c1, c2, cfg)
             steps += [single.iterations, ent.iterations]
+            capped += (not single.converged) + (not ent.converged)
             useful = ent.value - single.value > checks.TREE_GAP
             if useful != cls.useful:
                 full = oracle.brute_max_entangled(c1, c2, cfg, mode="full").value
@@ -496,7 +549,8 @@ class TestBatchedEngine:
             "slack_threshold": checks.TREE_SLACK,
             "gap_threshold": checks.TREE_GAP,
             "seesaw_steps": {
-                "rows": len(steps), "max": max(steps), "total": sum(steps)
+                "rows": len(steps), "max": max(steps), "total": sum(steps),
+                "capped": capped,
             },
             "failures": failures,
             "passed": retained > 0 and not failures,
