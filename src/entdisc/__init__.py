@@ -7,7 +7,7 @@ to the probe improve the best achievable success probability?  It provides
 * ``smallmat``  -- Hermiticity checks, eigenvalues and trace norms of 2x2/4x4
   matrices,
 * ``channels``  -- the two-angle channel parametrization, convex mixtures,
-  Kraus/superoperator/affine pictures and CPTP validation,
+  Kraus/superoperator/affine pictures and Choi matrices,
 * ``discrim``   -- discrimination parameters, closed-form trace-distance
   maxima, and the usefulness decision tree,
 * ``oracle``    -- brute-force probe-state search, Helstrom measurements and

@@ -7,10 +7,10 @@ angles (phi, theta) in [0, pi] through the Kraus pair
     K1 = [[0, sin(phi)], [sin(theta), 0]],
 
 and a general channel in the simultaneously diagonalizable family is a
-convex mixture of two such maps.  This module builds those objects,
-validates them (trace preservation, complete positivity via the Choi
-matrix), applies them to one- and two-qubit states, exposes the affine
-Bloch-ball picture, and parses the channel literal syntax used by the CLI:
+convex mixture of two such maps.  This module builds those objects and
+their Kraus sets and Choi matrices, applies them to one- and two-qubit
+states, exposes the affine Bloch-ball picture, and parses the channel
+literal syntax used by the CLI:
 
     identity
     ad(phi)
@@ -32,8 +32,6 @@ import numpy as np
 from . import smallmat
 
 DENSITY_TOL = 1e-10
-COMPLETENESS_TOL = 1e-10
-CHOI_TOL = 1e-10
 QUASI_EXTREME_TOL = 1e-10
 
 
@@ -201,24 +199,6 @@ def choi_matrix(k: KrausSet) -> np.ndarray:
         w = np.asarray(op, dtype=complex).T.reshape(4)
         choi += np.outer(w, w.conj())
     return choi
-
-
-@dataclass(frozen=True)
-class CPTPReport:
-    trace_preserving: bool
-    completely_positive: bool
-    max_violation: float
-
-
-def validate_cptp(k: KrausSet) -> CPTPReport:
-    """Check trace preservation and complete positivity of a Kraus set."""
-    comp_dev = k.completeness_deviation()
-    min_eig = float(smallmat.hermitian_eigenvalues(choi_matrix(k))[0])
-    return CPTPReport(
-        trace_preserving=comp_dev <= COMPLETENESS_TOL,
-        completely_positive=min_eig >= -CHOI_TOL,
-        max_violation=max(comp_dev, -min(min_eig, 0.0)),
-    )
 
 
 def is_quasi_extreme(c: ExtremalChannel) -> bool:

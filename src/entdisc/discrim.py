@@ -168,9 +168,7 @@ def f_entangled(p: DiscrimParams, s: float) -> float:
 
 def G_mixed(p: DiscrimParams, s: float) -> float:
     """Entangled profile in the regime gamma_m^2 < alpha beta < gamma_M^2."""
-    # Range check inline: a _check_s call is 10-25% of a 10^4-point scan.
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"s must lie in [0, 1], got {s}")
+    s = _check_s(s)
     t_form = (1.0 - s) * p.alpha + s * p.beta
     u = s * (1.0 - s)
     c = p.gamma_M**2 - p.alpha * p.beta
@@ -246,22 +244,46 @@ def _scan_max(fn, p: DiscrimParams) -> tuple[float, float]:
     return v, arg
 
 
+def _single_radical_max(p: DiscrimParams) -> tuple[float, float]:
+    """Global max of ``G_mixed`` on [0, 1], taken over its candidate points.
+
+    Squaring G' = 0 gives s^2 (d^2 - 4c) + s (2 alpha d + 4c) - (alpha d + c)
+    = 0 with d = beta - alpha and c = gamma_M^2 - alpha beta, whose roots are
+    the two sign branches of :func:`s_tilde`,
+    (gamma_M -+ alpha) / (2 gamma_M -+ (alpha + beta)).  The kink of |T| at
+    T = 0 is a local minimum, so the maximum sits at an endpoint or at a root
+    inside (0, 1).  The roots are read from this factored form, never from
+    the quadratic formula: at alpha = beta its double root s = 1/2 has a
+    discriminant that rounds negative.
+    """
+    gM, a, apb = p.gamma_M, p.alpha, p.alpha + p.beta
+    candidates = [0.0, 1.0]
+    for num, den in ((gM - a, 2.0 * gM - apb), (gM + a, 2.0 * gM + apb)):
+        if den != 0.0 and 0.0 < num / den < 1.0:
+            candidates.append(num / den)
+    # max keeps the first of equal values: ties go to s = 0, then s = 1
+    return max(((G_mixed(p, s), s) for s in candidates), key=lambda vs: vs[0])
+
+
 def max_distance_entangled(p: DiscrimParams) -> DistanceResult:
     """Maximum trace distance with an entangled probe.
 
     Three regimes: when gamma_M^2 <= alpha beta both 2x2 blocks of the
     output difference have same-sign eigenvalues, the profile is piecewise
-    linear and peaks at an endpoint; in the middle regime only the larger
-    gamma contributes a radical (single-radical profile); otherwise both
-    radicals are live and the two-radical profile is scanned numerically.
+    linear and peaks at an endpoint (closed form, "linear"); in the middle
+    regime only the larger gamma contributes a radical, and the maximum is
+    the best of the endpoints and the stationary points of that profile
+    (closed form, "single-radical"); otherwise both radicals are live and
+    the two-radical profile is scanned numerically ("two-radical", the only
+    branch with a nonzero ``scan_resolution``).
     """
     ab = p.alpha * p.beta
     if p.gamma_M**2 <= ab:
         arg = 0.0 if abs(p.alpha) >= abs(p.beta) else 1.0
         return DistanceResult(2.0 * max(abs(p.alpha), abs(p.beta)), arg, "linear")
     if p.gamma_m**2 < ab:
-        value, arg = _scan_max(G_mixed, p)
-        return DistanceResult(value, arg, "single-radical", SCAN_POINTS)
+        value, arg = _single_radical_max(p)
+        return DistanceResult(value, arg, "single-radical")
     value, arg = _scan_max(f_entangled, p)
     return DistanceResult(value, arg, "two-radical", SCAN_POINTS)
 

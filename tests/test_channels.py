@@ -264,31 +264,7 @@ class TestAffineMap:
             assert np.linalg.norm(lam * v + t) <= 1.0 + 1e-12
 
 
-class TestValidateCptp:
-    def test_extremal_channels_valid(self):
-        rng = np.random.default_rng(26)
-        for _ in range(30):
-            ks = channels.kraus_of(ExtremalChannel(*rng.uniform(0, math.pi, 2)))
-            report = channels.validate_cptp(ks)
-            assert report.trace_preserving and report.completely_positive
-            assert report.max_violation < 1e-10
-
-    def test_incomplete_kraus_detected(self):
-        k0 = channels.kraus_of(ExtremalChannel(math.pi / 3, 0.0)).operators[0]
-        report = channels.validate_cptp(channels.KrausSet((k0,), (1.0,)))
-        assert not report.trace_preserving
-
-    def test_mixtures_valid(self):
-        rng = np.random.default_rng(27)
-        for _ in range(30):
-            c = QubitChannel.mixture(
-                float(rng.uniform(0, 1)),
-                ExtremalChannel(*rng.uniform(0, math.pi, 2)),
-                ExtremalChannel(*rng.uniform(0, math.pi, 2)),
-            )
-            report = channels.validate_cptp(channels.kraus_of_mixture(c))
-            assert report.trace_preserving and report.completely_positive
-
+class TestChoiMatrix:
     def test_extremal_choi_rank_at_most_two(self):
         rng = np.random.default_rng(28)
         for _ in range(50):

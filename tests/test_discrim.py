@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entdisc import discrim
+from entdisc import checks, discrim
 from entdisc.channels import ExtremalChannel, QubitChannel
 from entdisc.discrim import DiscrimParams
 
@@ -239,10 +239,55 @@ class TestMaxDistanceEntangled:
             assert r.branch == "single-radical"
             st = min(max(discrim.s_tilde(p), 0.0), 1.0)
             # the clamped stationary point is the argmax whenever it is
-            # interior; otherwise the scan picks the better endpoint
+            # interior, and otherwise an endpoint is
             if 0.0 < st < 1.0:
-                assert r.arg == pytest.approx(st, abs=1e-6)
-            assert r.value >= discrim.G_mixed(p, st) - 1e-12
+                assert r.arg == pytest.approx(st, abs=1e-12)
+            assert r.value >= discrim.G_mixed(p, st) - 1e-15
+
+    def test_single_radical_closed_form_matches_scan(self):
+        # the scan the closed form replaced, kept for the two-radical
+        # branch, is the reference; quasi-extreme pairs put alpha = beta
+        # within rounding, where the stationary point is a double root
+        rng = np.random.default_rng(44)
+        draws = [
+            lambda: (
+                QubitChannel.extremal(*rng.uniform(0, math.pi, 2)),
+                checks.sample_mixture(rng),
+            ),
+            lambda: (checks.sample_mixture(rng), checks.sample_mixture(rng)),
+            lambda: (
+                checks.sample_quasi_extreme(rng),
+                checks.sample_quasi_extreme(rng),
+            ),
+        ]
+        for draw in draws:
+            found = 0
+            while found < 25:
+                p = discrim.compute_params(*draw())
+                if not p.gamma_m**2 < p.alpha * p.beta < p.gamma_M**2:
+                    continue
+                found += 1
+                r = discrim.max_distance_entangled(p)
+                assert r.branch == "single-radical"
+                assert r.scan_resolution == 0
+                scan_value, _ = discrim._scan_max(discrim.G_mixed, p)
+                assert abs(r.value - scan_value) <= 1e-15
+                assert r.value == discrim.G_mixed(p, r.arg)
+
+    def test_single_radical_double_root(self):
+        # alpha = beta within rounding (a classify pair of the benchmark's
+        # cli-requests stream): the optimum is the double root s = 1/2,
+        # which a quadratic-formula solve loses to a negative discriminant
+        p = discrim.compute_params(
+            QubitChannel.extremal(0.3420059729065053, 0.3420059729065053),
+            QubitChannel.extremal(2.3003768824310766, 0.8412157711587163),
+        )
+        r = discrim.max_distance_entangled(p)
+        assert r.branch == "single-radical"
+        assert r.arg == pytest.approx(0.5, abs=1e-12)
+        scan_value, _ = discrim._scan_max(discrim.G_mixed, p)
+        assert abs(r.value - scan_value) <= 1e-15
+        assert r.value >= discrim.max_distance_single(p).value
 
     @pytest.mark.parametrize(
         "params, profile, other",
@@ -267,7 +312,10 @@ class TestMaxDistanceEntangled:
         for name in calls:
             monkeypatch.setattr(discrim, name, counting(name, getattr(discrim, name)))
         discrim.max_distance_entangled(DiscrimParams(*params))
-        assert calls[profile] > discrim.SCAN_POINTS
+        if profile == "f_entangled":  # the two-radical scan
+            assert calls[profile] > discrim.SCAN_POINTS
+        else:  # the single-radical endpoints and stationary points
+            assert 0 < calls[profile] <= 4
         assert calls[other] == 0
 
     def test_never_below_single(self):

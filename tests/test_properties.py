@@ -20,9 +20,12 @@ from entdisc.channels import ExtremalChannel, QubitChannel  # noqa: E402
 DIST_TOL = 1e-12
 angle = st.floats(0.0, math.pi)
 # (lam, (phi, theta), (phi2, theta2)); lam = 1 is an extremal channel
+mixture_spec = st.tuples(
+    st.floats(0.0, 1.0), st.tuples(angle, angle), st.tuples(angle, angle)
+)
 channel_spec = st.one_of(
     st.tuples(st.just(1.0), st.tuples(angle, angle), st.tuples(angle, angle)),
-    st.tuples(st.floats(0.0, 1.0), st.tuples(angle, angle), st.tuples(angle, angle)),
+    mixture_spec,
 )
 
 
@@ -84,3 +87,12 @@ def entangled_profile(p, s):
 def test_entangled_profile_dominates_single(spec1, spec2, s):
     p = discrim.compute_params(build(spec1), build(spec2))
     assert entangled_profile(p, s) >= discrim.g_single(p, s) - DIST_TOL
+
+
+# mixtures only: pairs of extremal channels did not land in the
+# single-radical regime in 200000 seeded draws
+@hypothesis.given(mixture_spec, mixture_spec, st.floats(0.0, 1.0))
+def test_single_radical_maximum_dominates_its_profile(spec1, spec2, s):
+    p = discrim.compute_params(build(spec1), build(spec2))
+    hypothesis.assume(p.gamma_m**2 < p.alpha * p.beta < p.gamma_M**2)
+    assert discrim.max_distance_entangled(p).value >= discrim.G_mixed(p, s) - 1e-15
