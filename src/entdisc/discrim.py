@@ -17,9 +17,8 @@ the best trace distance using a probe with |1>-weight s is
     entangled: E(s) = sum_j max(|T|, sqrt(A^2 + 4 u gj^2))
 
 and side entanglement is useful exactly when max E > max g.  The maxima
-have closed forms (with one scalar scan in the genuinely two-radical
-cases), and the comparison collapses to the decision tree implemented by
-:func:`classify`.
+have closed forms, and the comparison collapses to the decision tree
+implemented by :func:`classify`.
 
 One analysis per pair: :func:`classify_pair` returns the parameters with the
 verdict, which compute each maximum when it is first read and keep it.
@@ -34,16 +33,13 @@ of how |alpha + beta| compares to |gamma1| + |gamma2|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from . import channels
 
-SCAN_POINTS = 10001
-GOLDEN_TOL = 1e-12
 EPS_BOUNDARY = 1e-9
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -75,24 +71,15 @@ class DiscrimParams:
         """alpha or beta, whichever has the larger magnitude (alpha wins ties)."""
         return self.alpha if abs(self.alpha) >= abs(self.beta) else self.beta
 
-    @property
+    @functools.cached_property
     def single(self) -> DistanceResult:
         """:func:`max_distance_single`, computed on first read and kept."""
-        return self._memo("_single", max_distance_single)
+        return max_distance_single(self)
 
-    @property
+    @functools.cached_property
     def entangled(self) -> DistanceResult:
         """:func:`max_distance_entangled`, computed on first read and kept."""
-        return self._memo("_entangled", max_distance_entangled)
-
-    _single = _entangled = None
-
-    def _memo(self, name: str, compute):
-        # Not functools.cached_property: reading self.__dict__ first takes the
-        # instance off CPython's fast attribute path, slowing the scan by ~10%.
-        if getattr(self, name) is None:
-            object.__setattr__(self, name, compute(self))
-        return getattr(self, name)
+        return max_distance_entangled(self)
 
 
 @dataclass(frozen=True)
@@ -158,9 +145,7 @@ def g_single(p: DiscrimParams, s: float) -> float:
 
 def f_entangled(p: DiscrimParams, s: float) -> float:
     """Two-radical entangled profile, valid when both gamma_j^2 >= alpha beta."""
-    # Range check inline: a _check_s call is 10-25% of a 10^4-point scan.
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"s must lie in [0, 1], got {s}")
+    s = _check_s(s)
     a2 = ((1.0 - s) * p.alpha - s * p.beta) ** 2
     u4 = 4.0 * (s * (1.0 - s))
     return math.sqrt(a2 + u4 * p.gamma1**2) + math.sqrt(a2 + u4 * p.gamma2**2)
@@ -210,40 +195,6 @@ def max_distance_single(p: DiscrimParams) -> DistanceResult:
     return DistanceResult(2.0 * abs(p.P), arg, "endpoint")
 
 
-def _scan_max(fn, p: DiscrimParams) -> tuple[float, float]:
-    """Global max of the profile s -> fn(p, s) on [0, 1]: uniform scan plus
-    golden refinement of the best bracket down to a 1e-12 interval.
-
-    ``fn`` is the public profile itself, passed by its module-level name,
-    so a tracer that replaces that name counts every evaluation."""
-    n = SCAN_POINTS
-    best_v, best_i = -math.inf, 0
-    step = 1.0 / (n - 1)
-    for i in range(n):
-        v = fn(p, i * step)
-        if v > best_v:
-            best_v, best_i = v, i
-    lo = max(0.0, (best_i - 1) * step)
-    hi = min(1.0, (best_i + 1) * step)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(p, x1), fn(p, x2)
-    while hi - lo > GOLDEN_TOL:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(p, x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(p, x1)
-    arg = 0.5 * (lo + hi)
-    v = fn(p, arg)
-    if best_v > v:
-        return best_v, best_i * step
-    return v, arg
-
-
 def _single_radical_max(p: DiscrimParams) -> tuple[float, float]:
     """Global max of ``G_mixed`` on [0, 1], taken over its candidate points.
 
@@ -265,17 +216,56 @@ def _single_radical_max(p: DiscrimParams) -> tuple[float, float]:
     return max(((G_mixed(p, s), s) for s in candidates), key=lambda vs: vs[0])
 
 
+def _two_radical_max(p: DiscrimParams) -> tuple[float, float]:
+    """Global max of ``f_entangled`` on [0, 1], for a concave profile.
+
+    Bisects the sign of the slope, sum_j q_j' / (2 sqrt q_j) with
+    q_j = A^2 + 4 u gamma_j^2, down to an interval of width 2^-53, then
+    takes the best of the endpoints and that interval's ends.  The slope is
+    read only strictly inside (0, 1): at alpha = 0 it is infinite at s = 0.
+    A radical with q_j = 0 is zero on all of [0, 1] (alpha = beta =
+    gamma_j = 0) and adds no slope.
+    """
+    a, b, apb = p.alpha, p.beta, p.alpha + p.beta
+    squares = (p.gamma1**2, p.gamma2**2)
+    lo, hi = 0.0, 1.0
+    for _ in range(53):
+        s = 0.5 * (lo + hi)
+        a_form = (1.0 - s) * a - s * b
+        u4 = 4.0 * (s * (1.0 - s))
+        slope = 0.0
+        for gsq in squares:
+            q = a_form * a_form + u4 * gsq
+            if q > 0.0:
+                slope += ((2.0 - 4.0 * s) * gsq - apb * a_form) / math.sqrt(q)
+        if slope > 0.0:
+            lo = s
+        else:
+            hi = s
+    # max keeps the first of equal values: ties go to s = 0, then s = 1
+    return max(
+        ((f_entangled(p, s), s) for s in (0.0, 1.0, lo, hi)), key=lambda vs: vs[0]
+    )
+
+
 def max_distance_entangled(p: DiscrimParams) -> DistanceResult:
     """Maximum trace distance with an entangled probe.
 
-    Three regimes: when gamma_M^2 <= alpha beta both 2x2 blocks of the
-    output difference have same-sign eigenvalues, the profile is piecewise
-    linear and peaks at an endpoint (closed form, "linear"); in the middle
+    Three regimes, each a closed form: when gamma_M^2 <= alpha beta both 2x2
+    blocks of the output difference have same-sign eigenvalues, the profile
+    is piecewise linear and peaks at an endpoint ("linear"); in the middle
     regime only the larger gamma contributes a radical, and the maximum is
     the best of the endpoints and the stationary points of that profile
-    (closed form, "single-radical"); otherwise both radicals are live and
-    the two-radical profile is scanned numerically ("two-radical", the only
-    branch with a nonzero ``scan_resolution``).
+    ("single-radical"); otherwise both radicals are live ("two-radical").
+
+    The two-radical profile is concave on [0, 1], so its stationary point
+    is found by bisecting the sign of its slope.  Each radical is sqrt(q_j)
+    with q_j = A^2 + 4 u gamma_j^2 = c0 + c1 s + c2 s^2, whose second
+    derivative is (4 c0 c2 - c1^2) / (4 q_j^1.5)
+    = 4 gamma_j^2 (alpha beta - gamma_j^2) / q_j^1.5 <= 0 in this regime.
+    No q_j vanishes inside (0, 1) unless it vanishes identically: a zero
+    needs gamma_j = 0 and A(s) = 0 there, and A has an interior zero only
+    when alpha beta > 0 = gamma_j^2, outside this regime.
     """
     ab = p.alpha * p.beta
     if p.gamma_M**2 <= ab:
@@ -284,8 +274,8 @@ def max_distance_entangled(p: DiscrimParams) -> DistanceResult:
     if p.gamma_m**2 < ab:
         value, arg = _single_radical_max(p)
         return DistanceResult(value, arg, "single-radical")
-    value, arg = _scan_max(f_entangled, p)
-    return DistanceResult(value, arg, "two-radical", SCAN_POINTS)
+    value, arg = _two_radical_max(p)
+    return DistanceResult(value, arg, "two-radical")
 
 
 def s_tilde(p: DiscrimParams) -> float:

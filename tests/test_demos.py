@@ -1,9 +1,4 @@
-"""Smoke runs of the demo scripts: each must exit 0.
-
-``region_map.py`` is left out: its 41x41 map of entangled maxima takes
-about 23 s, and ``entdisc sweep`` already runs the same computation in
-``test_cli.py``.
-"""
+"""Smoke runs of the demo scripts: each must exit 0."""
 
 import os
 import subprocess
@@ -17,7 +12,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ["classify_showcase.py", "helstrom_experiment.py", "oracle_crosscheck.py"],
+    [
+        "classify_showcase.py",
+        "helstrom_experiment.py",
+        "oracle_crosscheck.py",
+        "region_map.py",
+    ],
 )
 def test_demo_exits_zero(demo):
     env = dict(os.environ)

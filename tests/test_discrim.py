@@ -3,14 +3,43 @@ import math
 import numpy as np
 import pytest
 
-from entdisc import checks, discrim
+from entdisc import channels, checks, discrim
 from entdisc.channels import ExtremalChannel, QubitChannel
 from entdisc.discrim import DiscrimParams
+
+DENSE_POINTS = 10001
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def random_params(rng) -> DiscrimParams:
     a, b, g1, g2 = rng.uniform(-1, 1, 4)
     return DiscrimParams(a, b, g1, g2)
+
+
+def dense_max(fn, p: DiscrimParams) -> float:
+    """Reference maximum of s -> fn(p, s) on [0, 1]: a uniform 10^4-point
+    grid, then golden-section refinement of the best bracket to 1e-12."""
+    step = 1.0 / (DENSE_POINTS - 1)
+    best_v, best_i = -math.inf, 0
+    for i in range(DENSE_POINTS):
+        v = fn(p, i * step)
+        if v > best_v:
+            best_v, best_i = v, i
+    lo = max(0.0, (best_i - 1) * step)
+    hi = min(1.0, (best_i + 1) * step)
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1, f2 = fn(p, x1), fn(p, x2)
+    while hi - lo > 1e-12:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = fn(p, x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = fn(p, x1)
+    return max(best_v, fn(p, 0.5 * (lo + hi)))
 
 
 class TestComputeParams:
@@ -110,9 +139,9 @@ class TestProfiles:
             assert discrim.G_mixed(p, s) == pytest.approx(2 * abs(t_form), abs=1e-12)
 
     def test_kernels_are_the_documented_formulas(self):
-        # bit for bit, at the endpoints and at points of the scan's grid
+        # bit for bit, at the endpoints and at points of a 1/10000 grid
         rng = np.random.default_rng(36)
-        step = 1.0 / (discrim.SCAN_POINTS - 1)
+        step = 1.0 / 10000
         for k in range(50):
             if k % 2:
                 c1, c2 = (
@@ -131,7 +160,7 @@ class TestProfiles:
             p = discrim.compute_params(c1, c2)
             a, b, g1, g2 = p.alpha, p.beta, p.gamma1, p.gamma2
             gM = max(g1, g2, key=abs)
-            idx = rng.choice(discrim.SCAN_POINTS, 200, replace=False)
+            idx = rng.choice(10001, 200, replace=False)
             for s in [0.0, 1.0] + [int(i) * step for i in idx]:
                 A = (1 - s) * a - s * b
                 T = (1 - s) * a + s * b
@@ -245,9 +274,9 @@ class TestMaxDistanceEntangled:
             assert r.value >= discrim.G_mixed(p, st) - 1e-15
 
     def test_single_radical_closed_form_matches_scan(self):
-        # the scan the closed form replaced, kept for the two-radical
-        # branch, is the reference; quasi-extreme pairs put alpha = beta
-        # within rounding, where the stationary point is a double root
+        # a dense scan of the profile is the reference; quasi-extreme pairs
+        # put alpha = beta within rounding, where the stationary point is a
+        # double root
         rng = np.random.default_rng(44)
         draws = [
             lambda: (
@@ -270,8 +299,7 @@ class TestMaxDistanceEntangled:
                 r = discrim.max_distance_entangled(p)
                 assert r.branch == "single-radical"
                 assert r.scan_resolution == 0
-                scan_value, _ = discrim._scan_max(discrim.G_mixed, p)
-                assert abs(r.value - scan_value) <= 1e-15
+                assert abs(r.value - dense_max(discrim.G_mixed, p)) <= 1e-15
                 assert r.value == discrim.G_mixed(p, r.arg)
 
     def test_single_radical_double_root(self):
@@ -285,9 +313,60 @@ class TestMaxDistanceEntangled:
         r = discrim.max_distance_entangled(p)
         assert r.branch == "single-radical"
         assert r.arg == pytest.approx(0.5, abs=1e-12)
-        scan_value, _ = discrim._scan_max(discrim.G_mixed, p)
-        assert abs(r.value - scan_value) <= 1e-15
+        assert abs(r.value - dense_max(discrim.G_mixed, p)) <= 1e-15
         assert r.value >= discrim.max_distance_single(p).value
+
+    def assert_two_radical_maximum(self, p):
+        r = discrim.max_distance_entangled(p)
+        assert r.branch == "two-radical"
+        assert r.scan_resolution == 0
+        assert r.value == discrim.f_entangled(p, r.arg)
+        assert abs(r.value - dense_max(discrim.f_entangled, p)) <= 1e-15
+        assert r.value >= discrim.max_distance_single(p).value - 1e-12
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            # alpha = 0 and gamma2 = 0: the slope is infinite at s = 0
+            ("identity", "ad(3.1114479478770947)"),
+            ("ad(3.1413396748067317)", "identity"),
+            # alpha = beta = |gamma_m|: the stationary point is a double
+            # root of the squared stationarity condition
+            (
+                "extremal(3.057121351229078,0.08447130236071514)",
+                "extremal(3.0825800696421006,3.0825800696421006)",
+            ),
+        ],
+    )
+    def test_two_radical_directed_pairs(self, pair):
+        # classify pairs of the benchmark's cli-requests stream, where the
+        # squared stationarity condition q1'^2 q2 = q2'^2 q1 has a double root
+        c1, c2 = (channels.parse_channel(text) for text in pair)
+        self.assert_two_radical_maximum(discrim.compute_params(c1, c2))
+
+    def test_two_radical_equal_gamma_magnitudes(self):
+        self.assert_two_radical_maximum(DiscrimParams(0.1, 0.1, 0.5, -0.5))
+
+    def test_two_radical_matches_dense_reference(self):
+        rng = np.random.default_rng(49)
+        draws = [
+            lambda: tuple(
+                QubitChannel.extremal(*rng.uniform(0, math.pi, 2)) for _ in range(2)
+            ),
+            lambda: (checks.sample_mixture(rng), checks.sample_mixture(rng)),
+            lambda: (
+                checks.sample_quasi_extreme(rng),
+                checks.sample_quasi_extreme(rng),
+            ),
+        ]
+        for draw in draws:
+            found = 0
+            while found < 25:
+                p = discrim.compute_params(*draw())
+                if p.gamma_M**2 <= p.alpha * p.beta or p.gamma_m**2 < p.alpha * p.beta:
+                    continue
+                found += 1
+                self.assert_two_radical_maximum(p)
 
     @pytest.mark.parametrize(
         "params, profile, other",
@@ -312,10 +391,9 @@ class TestMaxDistanceEntangled:
         for name in calls:
             monkeypatch.setattr(discrim, name, counting(name, getattr(discrim, name)))
         discrim.max_distance_entangled(DiscrimParams(*params))
-        if profile == "f_entangled":  # the two-radical scan
-            assert calls[profile] > discrim.SCAN_POINTS
-        else:  # the single-radical endpoints and stationary points
-            assert 0 < calls[profile] <= 4
+        # the endpoints and the stationary point (two-radical: the ends of
+        # its bisection interval; single-radical: the sign branches)
+        assert 0 < calls[profile] <= 4
         assert calls[other] == 0
 
     def test_never_below_single(self):

@@ -96,3 +96,27 @@ def test_single_radical_maximum_dominates_its_profile(spec1, spec2, s):
     p = discrim.compute_params(build(spec1), build(spec2))
     hypothesis.assume(p.gamma_m**2 < p.alpha * p.beta < p.gamma_M**2)
     assert discrim.max_distance_entangled(p).value >= discrim.G_mixed(p, s) - 1e-15
+
+
+def two_radical(p) -> bool:
+    ab = p.alpha * p.beta
+    return p.gamma_M**2 > ab and p.gamma_m**2 >= ab
+
+
+@hypothesis.given(
+    channel_spec, channel_spec, st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+)
+def test_two_radical_profile_is_midpoint_concave(spec1, spec2, s, t):
+    # the theorem the two-radical maximum's bisection relies on
+    p = discrim.compute_params(build(spec1), build(spec2))
+    hypothesis.assume(two_radical(p))
+    mid = discrim.f_entangled(p, 0.5 * (s + t))
+    chord = 0.5 * (discrim.f_entangled(p, s) + discrim.f_entangled(p, t))
+    assert mid >= chord - 1e-15
+
+
+@hypothesis.given(channel_spec, channel_spec, st.floats(0.0, 1.0))
+def test_two_radical_maximum_dominates_its_profile(spec1, spec2, s):
+    p = discrim.compute_params(build(spec1), build(spec2))
+    hypothesis.assume(two_radical(p))
+    assert discrim.max_distance_entangled(p).value >= discrim.f_entangled(p, s) - 1e-15
