@@ -12,11 +12,26 @@ to the probe improve the best achievable success probability?  It provides
   maxima, and the usefulness decision tree,
 * ``oracle``    -- brute-force probe-state search, Helstrom measurements and
   seeded Monte-Carlo discrimination experiments,
+* ``checks``    -- the seeded sweeps that compare the closed forms with the
+  oracle,
 * ``cli``       -- the ``entdisc`` command-line tool.
+
+Submodules load on first use (``entdisc.oracle`` or
+``from entdisc import oracle``), so a program pays only for the ones it
+reads: the closed forms in ``discrim`` need ``math`` alone, and numpy loads
+with the first matrix picture, the oracle or the checks.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import channels, discrim, oracle, smallmat  # noqa: F401
+_SUBMODULES = frozenset({"channels", "checks", "cli", "discrim", "oracle", "smallmat"})
 
 __all__ = ["channels", "discrim", "oracle", "smallmat", "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,13 @@ literal syntax used by the CLI:
     mix(lambda;phi,theta;phi2,theta2)
 
 with all angles in radians.
+
+The parameters, literals and affine picture need only ``math``.  The
+matrix pictures (Kraus sets, superoperators, channel action, Choi
+matrices) import numpy and :mod:`smallmat` when first called, so the
+closed-form path through :mod:`discrim` never loads numpy.  They stay
+defined in this module, where callers and tools that look a channel
+function up by module attribute find them.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import smallmat
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSITY_TOL = 1e-10
 QUASI_EXTREME_TOL = 1e-10
@@ -93,6 +100,8 @@ class KrausSet:
     weights: tuple
 
     def completeness_deviation(self) -> float:
+        import numpy as np
+
         acc = np.zeros((2, 2), dtype=complex)
         for op in self.operators:
             acc += op.conj().T @ op
@@ -109,6 +118,8 @@ class AffineMap:
 
 def kraus_of(c: ExtremalChannel) -> KrausSet:
     """The two Kraus operators of an extremal channel."""
+    import numpy as np
+
     k0 = np.array([[math.cos(c.theta), 0.0], [0.0, math.cos(c.phi)]], dtype=complex)
     k1 = np.array([[0.0, math.sin(c.phi)], [math.sin(c.theta), 0.0]], dtype=complex)
     return KrausSet((k0, k1), (1.0,))
@@ -125,12 +136,18 @@ def kraus_of_mixture(c: QubitChannel) -> KrausSet:
 
 def kraus_operators(c: QubitChannel) -> tuple:
     """Scaled Kraus operators of any channel, zero operators dropped."""
+    import numpy as np
+
     ops = kraus_of_mixture(c).operators
     return tuple(op for op in ops if np.max(np.abs(op)) > 1e-15)
 
 
 def check_density(rho, dim: int) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, PSD within 1e-10."""
+    import numpy as np
+
+    from . import smallmat
+
     rho = smallmat.check_hermitian(rho, tol=DENSITY_TOL)
     if rho.shape[0] != dim:
         raise ValueError(f"expected a {dim}x{dim} state, got {rho.shape[0]}")
@@ -150,6 +167,8 @@ def superoperator(c: QubitChannel, extended: bool = False) -> np.ndarray:
     states: each Kraus operator becomes kron(I, K_k), the identity acting on
     the left (reference) qubit in the basis order |00>, |01>, |10>, |11>.
     """
+    import numpy as np
+
     ops = np.array(kraus_operators(c))
     if extended:  # kron(I, K) for every K
         ops = np.einsum("ij,kab->kiajb", np.eye(2), ops).reshape(-1, 4, 4)
@@ -180,20 +199,23 @@ def affine_map(c: QubitChannel) -> AffineMap:
         lam1 = math.cos(e.phi - e.theta)
         lam2 = math.cos(e.phi + e.theta)
         return (
-            np.array([lam1, lam2, lam1 * lam2]),
-            np.array([0.0, 0.0, math.sin(e.phi - e.theta) * math.sin(e.phi + e.theta)]),
+            (lam1, lam2, lam1 * lam2),
+            (0.0, 0.0, math.sin(e.phi - e.theta) * math.sin(e.phi + e.theta)),
         )
+
+    def convex(x, y):
+        return tuple(lam * a + (1.0 - lam) * b for a, b in zip(x, y))
 
     l1, t1 = extremal_map(c.first)
     l2, t2 = extremal_map(c.second)
     lam = c.lam
-    lambdas = lam * l1 + (1.0 - lam) * l2
-    shift = lam * t1 + (1.0 - lam) * t2
-    return AffineMap(tuple(float(x) for x in lambdas), tuple(float(x) for x in shift))
+    return AffineMap(convex(l1, l2), convex(t1, t2))
 
 
 def choi_matrix(k: KrausSet) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) N(|i><j|) of the channel."""
+    import numpy as np
+
     choi = np.zeros((4, 4), dtype=complex)
     for op in k.operators:
         w = np.asarray(op, dtype=complex).T.reshape(4)

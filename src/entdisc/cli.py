@@ -3,16 +3,23 @@
 Single results print as JSON (schema_version 1, floats at 17 significant
 digits so repeated runs are byte-identical); sweeps write CSV.  Exit codes:
 0 success, 1 validation failure, 2 verification failure.
+
+A request pays only for what it uses.  The argument parser is built once
+per process (:func:`build_parser`), and ``params``, ``classify`` and
+``sweep`` run on the closed forms in :mod:`discrim`, which need ``math``
+alone: ``verify`` and ``simulate`` import the oracle, the checks and numpy
+when they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 
-from . import __version__, channels, checks, discrim, oracle, smallmat
+from . import __version__, channels, discrim
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -38,22 +45,27 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _emit_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_emit_json(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_emit_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
+def _fmt_str(s: str) -> str:
+    escaped = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
+def _emit_scalar(obj) -> str:
+    """JSON text of a float, bool, int, None or str.
+
+    Exact types are matched first, floats ahead of the rest because records
+    are mostly floats; subclasses such as ``numpy.float64`` fall through to
+    ``isinstance``.  ``bool`` admits no subclass.
+    """
+    t = type(obj)
+    if t is float:
+        return _fmt_float(obj)
+    if t is bool:
         return "true" if obj else "false"
+    if t is int:
+        return str(obj)
+    if t is str:
+        return _fmt_str(obj)
     if obj is None:
         return "null"
     if isinstance(obj, int):
@@ -61,11 +73,27 @@ def _emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        escaped = (
-            obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
+        return _fmt_str(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _emit_json(obj, indent: int = 0) -> str:
+    if type(obj) is float:
+        return _fmt_float(obj)
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            [f'{pad}  "{k}": {_emit_json(v, indent + 1)}' for k, v in obj.items()]
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join([f"{pad}  {_emit_json(v, indent + 1)}" for v in obj])
+        return "[\n" + items + "\n" + pad + "]"
+    return _emit_scalar(obj)
 
 
 def _print_record(record: dict) -> None:
@@ -79,6 +107,8 @@ def _base_record(command: str, seed=None) -> dict:
         "version": __version__,
     }
     if seed is not None:
+        from . import oracle
+
         rec["seed"] = int(seed)
         rec["rng"] = oracle.RNG_ALGORITHM
     return rec
@@ -115,6 +145,8 @@ def _classification_dict(c: discrim.Classification) -> dict:
 
 
 def _parse_probe(text: str):
+    from . import oracle
+
     head, _, body = text.partition("(")
     if not body.endswith(")"):
         raise channels.ChannelParseError(f"unrecognized probe literal {text!r}")
@@ -250,7 +282,7 @@ def cmd_sweep(args) -> int:
                     p.gamma2, cls.useful, cls.node, cls.boundary,
                     single, ent, ent - single,
                 )
-                fields = (x if isinstance(x, str) else _emit_json(x) for x in row)
+                fields = [x if isinstance(x, str) else _emit_scalar(x) for x in row]
                 fh.write(",".join(fields) + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write {args.out!r}: {exc}") from None
@@ -262,6 +294,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks, oracle
+
     if args.trials is not None and args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     cfg = oracle.SearchConfig(grid_points=96, multistarts=16, rng_seed=args.seed)
@@ -283,6 +317,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import oracle, smallmat
+
     c1 = channels.parse_channel(args.channel1)
     c2 = channels.parse_channel(args.channel2)
     if args.optimal and args.probe is not None:
@@ -320,7 +356,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``entdisc`` argument parser, built once per process.
+
+    Parsing reads a parser and never changes it, so every ``main`` call
+    shares this one.  It names subcommands only; ``main`` looks up
+    ``cmd_<subcommand>`` in this module when it dispatches, so a handler
+    replaced on the module after the first call is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="entdisc",
         description="Decide whether side entanglement helps discriminate two "
@@ -331,19 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("params", help="discrimination parameters of a pair")
     p.add_argument("channel1")
     p.add_argument("channel2")
-    p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("classify", help="distances, verdict and tree node")
     p.add_argument("channel1")
     p.add_argument("channel2")
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("sweep", help="grid sweep over channel parameters, CSV out")
     p.add_argument("fix", nargs="*", help="fixed parameters as name=value")
     p.add_argument("--grid", action="append", required=True,
                    help="axis as name=start:stop:steps (1 or 2 axes)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="seeded oracle-equivalence sweeps")
     p.add_argument("--mode", required=True,
@@ -352,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=None,
                    help="Monte-Carlo trials (montecarlo mode, default 10^6)")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="seeded Helstrom discrimination runs")
     p.add_argument("channel1")
@@ -363,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the best entangled probe from the oracle")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(fn=cmd_simulate)
     return parser
 
 
@@ -373,8 +412,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
+    handler = globals()[f"cmd_{args.subcommand}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except (channels.ChannelParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,10 +1,18 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entdisc import checks, cli, discrim, oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PI = math.pi
 
@@ -476,3 +484,135 @@ class TestOneAnalysisPerPair:
         assert code == 1
         assert calls == {"single": 0, "entangled": 0}
         assert list(tmp_path.iterdir()) == []
+
+
+class TestJsonOutput:
+    """The emitter's exact bytes: every record and CSV cell goes through it."""
+
+    def test_golden_bytes(self):
+        record = {
+            "nested": {"list": [1, [2.5, []], {}], "tuple": (True, None)},
+            "empty": [{}, [], ()],
+            "scalars": [True, False, None, 0, -7, 2**70],
+            "floats": [0.1, -0.0, 1e-300, -2.5e17, 1.0 / 3.0, np.float64(-0.0)],
+            "text": 'say "hi"\\ back\nslash',
+        }
+        expected = "\n".join([
+            "{",
+            '  "nested": {',
+            '    "list": [',
+            "      1,",
+            "      [",
+            "        2.5,",
+            "        []",
+            "      ],",
+            "      {}",
+            "    ],",
+            '    "tuple": [',
+            "      true,",
+            "      null",
+            "    ]",
+            "  },",
+            '  "empty": [',
+            "    {},",
+            "    [],",
+            "    []",
+            "  ],",
+            '  "scalars": [',
+            "    true,",
+            "    false,",
+            "    null,",
+            "    0,",
+            "    -7,",
+            "    1180591620717411303424",
+            "  ],",
+            '  "floats": [',
+            "    0.10000000000000001,",
+            "    0,",
+            "    1e-300,",
+            "    -2.5e+17,",
+            "    0.33333333333333331,",
+            "    0",
+            "  ],",
+            '  "text": "say \\"hi\\"\\\\ back\\nslash"',
+            "}",
+        ])
+        assert cli._emit_json(record) == expected
+        assert cli._emit_json({}) == "{}" and cli._emit_json([]) == "[]"
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, [1.0, {"x": np.float64(math.nan)}]]
+    )
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._emit_json(value)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3), b"x"])
+    def test_unknown_type_rejected(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli._emit_json({"k": [value]})
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process."""
+
+    def test_second_call_builds_nothing(self, capsys, monkeypatch):
+        run_cli(capsys, "params", "ad(0.5)", "identity")
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        code, _, _ = run_cli(capsys, "classify", "ad(0.8)", "ad(0.3)")
+        assert code == 0
+        assert added == []
+
+    def test_calls_in_sequence_match_calls_alone(self, tmp_path, capsys):
+        # A failing call between two good ones leaves nothing behind in the
+        # shared parser: each output equals that of a fresh interpreter.
+        csv = tmp_path / "s.csv"
+        calls = [
+            ["classify", "ad(0.8)", "extremal(1,2)"],
+            ["classify", "extremal(oops,0)", "identity"],
+            ["sweep", "--grid", "phi1=0:3:3", "--bogus"],
+            ["sweep", "phi2=1.0", "--grid", "phi1=0:3:3", "--grid",
+             "theta1=0:3:3", "--out", str(csv)],
+            ["simulate", "identity", "ad(1)", "qubit(1,1)", "--trials", "500"],
+        ]
+
+        def written():
+            data = csv.read_bytes() if csv.exists() else None
+            csv.unlink(missing_ok=True)
+            return data
+
+        in_sequence = [(*run_cli(capsys, *argv), written()) for argv in calls]
+        assert [r[0] for r in in_sequence] == [0, 1, 1, 0, 0]
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        code = "import sys\nfrom entdisc import cli\nsys.exit(cli.main(sys.argv[1:]))"
+        for argv, expected in zip(calls, in_sequence):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                text=True, timeout=60,
+            )
+            alone = (proc.returncode, proc.stdout, proc.stderr, written())
+            assert alone == expected, argv
+
+    def test_handler_replaced_after_first_call_runs(self, capsys, monkeypatch):
+        run_cli(capsys, "classify", "ad(0.8)", "ad(0.3)")
+        seen = []
+
+        def replaced(args):
+            seen.append((args.channel1, args.channel2))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_classify", replaced)
+        code, out, _ = run_cli(capsys, "classify", "ad(0.1)", "identity")
+        assert code == 0 and out == ""
+        assert seen == [("ad(0.1)", "identity")]

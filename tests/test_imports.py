@@ -1,9 +1,12 @@
-"""Importing the CLI loads no root finder or symbolic package.
+"""What each entry point loads.
 
-Every ``entdisc`` command pays for what ``entdisc.cli`` imports, in start-up
-time and resident memory, so the closed forms stay on ``math`` and the
-oracle on plain numpy.  The import runs in a fresh interpreter, because
-this test session may already hold any of these modules.
+Every ``entdisc`` command pays for what it imports, in start-up time and
+resident memory.  The CLI loads no root finder or symbolic package; the
+closed-form commands (``params``, ``classify``, ``sweep``) load no numpy,
+because ``entdisc`` loads its submodules on first use and ``channels``
+imports numpy only inside its matrix pictures.  Each check runs in a fresh
+interpreter, because this test session may already hold any of these
+modules.
 """
 
 import os
@@ -15,20 +18,53 @@ ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy.polynomial", "scipy", "sympy", "mpmath")
 
 
-def test_cli_import_loads_no_heavy_package():
+def run_fresh(code: str, *argv: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_heavy_package():
     code = (
         "import sys, entdisc.cli\n"
         f"heavy = {HEAVY!r}\n"
         "print(sorted(m for m in sys.modules\n"
         "             if any(m == h or m.startswith(h + '.') for h in heavy)))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=60,
+    assert run_fresh(code) == "[]"
+
+
+def test_closed_form_commands_load_no_numpy(tmp_path):
+    code = (
+        "import contextlib, io, sys\n"
+        "from entdisc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [\n"
+        "        cli.main(['params', 'ad(0.5)', 'extremal(1,2)']),\n"
+        "        cli.main(['classify', 'mix(0.3;1.2,0.4;0.3,2.0)', 'pauli(0.5,0.6,1.1)']),\n"
+        "        cli.main(['sweep', 'phi2=1.0', '--grid', 'phi1=0:3:3',\n"
+        "                  '--grid', 'theta1=0:3:3', '--out', sys.argv[1]]),\n"
+        "    ]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(code, str(tmp_path / "s.csv")) == "[0, 0, 0] []"
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 10
+
+
+def test_submodules_resolve_on_first_use():
+    code = (
+        "import sys, entdisc\n"
+        "before = 'entdisc.oracle' in sys.modules\n"
+        "from entdisc import channels, discrim, oracle\n"
+        "assert entdisc.oracle is oracle is sys.modules['entdisc.oracle']\n"
+        "assert oracle.SearchConfig and channels.parse_channel and discrim.classify_pair\n"
+        "print(before, hasattr(entdisc, 'no_such_module'))\n"
+    )
+    assert run_fresh(code) == "False False"
