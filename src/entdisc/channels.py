@@ -26,6 +26,15 @@ matrices) import numpy and :mod:`smallmat` when first called, so the
 closed-form path through :mod:`discrim` never loads numpy.  They stay
 defined in this module, where callers and tools that look a channel
 function up by module attribute find them.
+
+Every Kraus set is built by one function, :func:`_scaled_kraus`: it
+writes the entries of the weighted operators as Python floats, and the
+caller makes one complex array of them.  :func:`kraus_of` and
+:func:`kraus_of_mixture` keep every operator; :func:`kraus_operators`
+first drops the operators whose entries are all within 1e-15 of zero, in
+plain Python.  A Kraus set is built for every superoperator, and a numpy
+call per operator would cost more than its arithmetic.
+:func:`superoperator` is the one way a channel acts on a state.
 """
 
 from __future__ import annotations
@@ -116,30 +125,45 @@ class AffineMap:
     t: tuple
 
 
-def kraus_of(c: ExtremalChannel) -> KrausSet:
-    """The two Kraus operators of an extremal channel."""
+def _scaled_kraus(parts) -> list:
+    """The row-major entries of w K0 and w K1 for each (w, channel) of
+    ``parts``, as 4-tuples of Python floats, two operators per channel."""
+    ops = []
+    for w, c in parts:
+        ct, cp = math.cos(c.theta), math.cos(c.phi)
+        sp, st = math.sin(c.phi), math.sin(c.theta)
+        ops.append((w * ct, 0.0, 0.0, w * cp))
+        ops.append((0.0, w * sp, w * st, 0.0))
+    return ops
+
+
+def _mixture_parts(c: QubitChannel) -> tuple:
+    return ((math.sqrt(c.lam), c.first), (math.sqrt(1.0 - c.lam), c.second))
+
+
+def _stacked(ops: list) -> np.ndarray:
+    """Entries from :func:`_scaled_kraus` as one (count, 2, 2) array."""
     import numpy as np
 
-    k0 = np.array([[math.cos(c.theta), 0.0], [0.0, math.cos(c.phi)]], dtype=complex)
-    k1 = np.array([[0.0, math.sin(c.phi)], [math.sin(c.theta), 0.0]], dtype=complex)
-    return KrausSet((k0, k1), (1.0,))
+    return np.array(ops, dtype=complex).reshape(-1, 2, 2)
+
+
+def kraus_of(c: ExtremalChannel) -> KrausSet:
+    """The two Kraus operators of an extremal channel."""
+    return KrausSet(tuple(_stacked(_scaled_kraus(((1.0, c),)))), (1.0,))
 
 
 def kraus_of_mixture(c: QubitChannel) -> KrausSet:
     """Four scaled Kraus operators of a convex mixture."""
-    first = kraus_of(c.first).operators
-    second = kraus_of(c.second).operators
-    w1, w2 = math.sqrt(c.lam), math.sqrt(1.0 - c.lam)
-    ops = tuple(w1 * k for k in first) + tuple(w2 * k for k in second)
+    ops = tuple(_stacked(_scaled_kraus(_mixture_parts(c))))
     return KrausSet(ops, (c.lam, 1.0 - c.lam))
 
 
-def kraus_operators(c: QubitChannel) -> tuple:
-    """Scaled Kraus operators of any channel, zero operators dropped."""
-    import numpy as np
-
-    ops = kraus_of_mixture(c).operators
-    return tuple(op for op in ops if np.max(np.abs(op)) > 1e-15)
+def kraus_operators(c: QubitChannel) -> np.ndarray:
+    """Scaled Kraus operators of any channel as one (count, 2, 2) array;
+    operators whose entries are all within 1e-15 of zero are dropped."""
+    ops = _scaled_kraus(_mixture_parts(c))
+    return _stacked([op for op in ops if max(map(abs, op)) > 1e-15])
 
 
 def check_density(rho, dim: int) -> np.ndarray:
@@ -169,7 +193,7 @@ def superoperator(c: QubitChannel, extended: bool = False) -> np.ndarray:
     """
     import numpy as np
 
-    ops = np.array(kraus_operators(c))
+    ops = kraus_operators(c)
     if extended:  # kron(I, K) for every K
         ops = np.einsum("ij,kab->kiajb", np.eye(2), ops).reshape(-1, 4, 4)
     dim = ops.shape[1]

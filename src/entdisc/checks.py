@@ -63,9 +63,9 @@ def _draw_pairs(samples: int, rng, sample) -> list:
 
 
 def _seesaw_steps(results) -> dict:
-    """See-saw steps of a check's Bloch and restricted searches, one row
-    each: a batch costs its longest row (max), a per-pair loop every row
-    (total); ``capped`` counts the rows stopped at the step cap."""
+    """See-saw steps of a check's searches, one result each: a batch costs
+    its longest row (max), a per-pair loop every row (total); ``capped``
+    counts the results not converged within the step cap."""
     results = list(results)
     steps = [r.iterations for r in results]
     return {
@@ -109,7 +109,9 @@ def check_lemma2(
 ) -> dict:
     """Closed-form entangled maximum vs restricted search, and the claim
     that searching outside the |00>/|11> plane never helps; counts the
-    pairs whose full search stopped at its step cap (``full_unconverged``)."""
+    pairs whose full search stopped at its step cap (``full_unconverged``)
+    and gives the winning rows' steps of the full searches
+    (``full_seesaw_steps``), which each run as a batch of their own."""
     _require_samples(samples)
     pairs = _draw_pairs(samples, _rng(seed), sample_extremal)
     lmats = oracle._superops(pairs, extended=True)
@@ -117,10 +119,12 @@ def check_lemma2(
     max_dev = 0.0
     max_excess = -math.inf
     unconverged = 0
+    fulls = []
     failures = []
     for (c1, c2), restricted in zip(pairs, restricted_all):
         closed = discrim.compute_params(c1, c2).entangled.value
         full = oracle.brute_max_entangled(c1, c2, cfg, mode="full")
+        fulls.append(full)
         unconverged += not full.converged
         dev = abs(closed - restricted.value)
         excess = full.value - restricted.value
@@ -144,6 +148,7 @@ def check_lemma2(
         "max_full_excess": max_excess,
         "full_unconverged": unconverged,
         "seesaw_steps": _seesaw_steps(restricted_all),
+        "full_seesaw_steps": _seesaw_steps(fulls),
         "failures": failures,
         "passed": not failures,
     }

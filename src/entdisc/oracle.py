@@ -6,7 +6,11 @@ channels' superoperators (:func:`channels.superoperator`), so the results
 serve as an independent check on the closed forms and on the decision
 tree.  Grid evaluations are batched through numpy (including LAPACK's
 batched Hermitian eigensolver for the 4x4 case), which keeps the
-acceptance sweeps fast.
+acceptance sweeps fast.  Each grid is evaluated one pair at a time: a
+pair's grid values are a few n^2-long arrays, so a check's memory does not
+grow with its number of pairs, and batching the pairs measured no faster.
+The Bloch grid keeps its points as four rows of coordinates (1, x, y, z),
+so each Pauli coordinate of a pair's outputs is one contiguous row.
 
 The three searches share one maximizer, :func:`_seesaw`, whose rows each
 carry their own superoperator: a check runs the Bloch (or restricted)
@@ -337,28 +341,36 @@ _PAULI_COORDS = _PAULI.conj().reshape(4, 4) / 2.0
 @functools.lru_cache(maxsize=4)
 def _bloch_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniform (polar, azimuth) grid with n points per axis, and the
-    affine Bloch coordinates r = (1, x, y, z) of its points, read-only."""
+    affine Bloch coordinates r = (1, x, y, z) of its points, read-only.
+
+    r is stored as four rows of n^2 coordinates, one per Pauli component,
+    not as one row of four per point: each Pauli coordinate of the outputs
+    is then one contiguous row, and no reduction runs over a short strided
+    axis of length three.
+    """
     polar = np.linspace(0.0, math.pi, n)
     azim = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     mesh = np.meshgrid(polar, azim, indexing="ij")
     params = np.stack([g.ravel() for g in mesh], axis=1)
     p, a = params[:, 0], params[:, 1]
     x, y = np.sin(p) * np.cos(a), np.sin(p) * np.sin(a)
-    r = np.stack([np.ones_like(p), x, y, np.cos(p)], axis=1)
+    r = np.stack([np.ones_like(p), x, y, np.cos(p)])
     params.setflags(write=False)
     r.setflags(write=False)
     return params, r
 
 
 def _bloch_values(lmat: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """||Delta(rho)||_1 at Bloch points r = (1, x, y, z).
+    """||Delta(rho)||_1 at Bloch points r = (1, x, y, z), one per column.
 
     rho = sum_j r_j sigma_j / 2, so D = c0 I + c.sigma is affine in r, its
-    Pauli coordinates are r times those of the four outputs
-    Delta(sigma_j / 2), and ||D||_1 = 2 max(|c0|, |c|).
+    Pauli coordinates are those of the four outputs Delta(sigma_j / 2)
+    times r, and ||D||_1 = 2 max(|c0|, |c|).  Each coordinate is one
+    contiguous row, so |c| is two elementwise sums, not a strided
+    reduction.
     """
-    c = r @ np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES).T
-    return 2.0 * np.maximum(np.abs(c[:, 0]), np.sqrt(np.sum(c[:, 1:] ** 2, axis=1)))
+    c0, x, y, z = np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES) @ r
+    return 2.0 * np.maximum(np.abs(c0), np.sqrt(x * x + y * y + z * z))
 
 
 def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResult]:
@@ -367,6 +379,10 @@ def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResult]:
     The uniform (polar, azimuth) grid with cfg.grid_points per axis, one
     row at a time, then one see-saw over all of C^2 from every row's best
     grid point.  arg is the weight on |1> of the winning probe.
+
+    A row's grid values take 4 n^2 floats at most; evaluating all rows in
+    one array would hold rows x 4 n^2 at once for no measured gain, so the
+    peak memory here does not grow with the number of rows.
     """
     n = cfg.grid_points
     params, r = _bloch_grid(n)

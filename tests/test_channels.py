@@ -91,6 +91,69 @@ class TestKrausOfMixture:
             assert channels.kraus_of_mixture(c).completeness_deviation() < 1e-10
 
 
+class TestKrausOperators:
+    @staticmethod
+    def kept(c):
+        ops = channels.kraus_operators(c)
+        assert ops.dtype == complex and ops.shape[1:] == (2, 2)
+        return ops
+
+    def test_identity_drops_its_zero_k1(self):
+        ops = self.kept(QubitChannel.extremal(0.0, 0.0))
+        np.testing.assert_array_equal(ops, [np.eye(2)])
+
+    def test_rounding_residue_is_dropped(self):
+        # cos(pi/2) is about 6e-17: the K0 of the X-flip is all rounding
+        k0, k1 = channels.kraus_of(ExtremalChannel(math.pi / 2, math.pi / 2)).operators
+        assert 0.0 < np.max(np.abs(k0)) <= 1e-15
+        ops = self.kept(QubitChannel.extremal(math.pi / 2, math.pi / 2))
+        np.testing.assert_array_equal(ops, [k1])
+
+    def test_threshold_is_strict(self):
+        # K1 = [[0, 0], [sin(theta), 0]] with theta just above and at the cut
+        assert len(self.kept(QubitChannel.extremal(0.0, 2e-15))) == 2
+        assert len(self.kept(QubitChannel.extremal(0.0, 1e-15))) == 1
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_zero_weight_half_is_dropped(self, lam):
+        first, second = ExtremalChannel(0.7, 0.3), ExtremalChannel(2.1, 1.2)
+        ops = self.kept(QubitChannel.mixture(lam, first, second))
+        kept = first if lam == 1.0 else second
+        np.testing.assert_array_equal(ops, channels.kraus_of(kept).operators)
+
+    def test_generic_mixture_keeps_all_four(self):
+        c = QubitChannel.mixture(
+            0.4, ExtremalChannel(0.7, 0.3), ExtremalChannel(2.1, 1.2)
+        )
+        np.testing.assert_array_equal(
+            self.kept(c), channels.kraus_of_mixture(c).operators
+        )
+
+    def test_superoperator_matches_kron_reference(self):
+        rng = np.random.default_rng(26)
+        chans = [QubitChannel.extremal(0.0, 0.0),
+                 QubitChannel.extremal(math.pi / 2, math.pi / 2)]
+        for _ in range(40):
+            e1 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
+            e2 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
+            chans += [QubitChannel.extremal(e1.phi, e1.theta),
+                      QubitChannel.mixture(float(rng.uniform(0, 1)), e1, e2),
+                      QubitChannel.mixture(float(rng.choice([0.0, 1.0])), e1, e2)]
+        for c in chans:
+            ops = [
+                op for op in channels.kraus_of_mixture(c).operators
+                if np.max(np.abs(op)) > 1e-15
+            ]
+            kron = [np.kron(np.eye(2), op) for op in ops]
+            for extended, mats in ((False, np.array(ops)), (True, np.array(kron))):
+                dim = mats.shape[1]
+                reference = np.einsum(
+                    "kab,kcd->acbd", mats, mats.conj()
+                ).reshape(dim * dim, dim * dim)
+                smat = channels.superoperator(c, extended)
+                assert smat.tobytes() == reference.tobytes()
+
+
 class TestApply:
     def test_identity(self):
         rho = np.array([[0.6, 0.1j], [-0.1j, 0.4]])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,8 +450,14 @@ class TestConvergence:
         rep = checks.check_lemma2(3, 202, self.CFG)
         assert rep["passed"]
         assert rep["full_unconverged"] == 0
+        full = rep["full_seesaw_steps"]
+        assert full["rows"] == 3 and full["capped"] == 0
+        assert 1 <= full["max"] < oracle._MAX_STEPS
         monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
-        assert checks.check_lemma2(3, 202, self.CFG)["full_unconverged"] == 3
+        rep = checks.check_lemma2(3, 202, self.CFG)
+        assert rep["full_unconverged"] == 3
+        assert rep["full_seesaw_steps"]["capped"] == 3
+        assert rep["full_seesaw_steps"]["max"] == 2
 
 
 class TestBatchedEngine:
@@ -506,6 +513,51 @@ class TestBatchedEngine:
             d = oracle._delta_batch(lmat, states)
             reference = np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
             assert np.max(np.abs(oracle._bloch_values(lmat, r) - reference)) < 1e-14
+
+    @pytest.mark.parametrize("grid", [96, 128, 256])
+    def test_bloch_rows_match_row_major_formula(self, grid):
+        # reference: one point per row of an n^2 x 4 array, |c|^2 reduced
+        # over its last three columns
+        params, r = oracle._bloch_grid(grid)
+        assert r.shape == (4, grid * grid) and not r.flags.writeable
+        points = np.ascontiguousarray(r.T)
+        rng = checks._rng(grid)
+        pairs = [
+            (checks.sample_extremal(rng), checks.sample_extremal(rng))
+            for _ in range(8)
+        ] + [(checks.sample_mixture(rng), checks.sample_mixture(rng)) for _ in range(8)]
+        lmats = list(oracle._superops(pairs, extended=False))
+        rng = np.random.default_rng(65)
+        for _ in range(4):
+            u1, u2 = (
+                np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                for _ in range(2)
+            )
+            lmats.append(np.kron(u1, u1.conj()) - np.kron(u2, u2.conj()))
+        for lmat in lmats:
+            c = points @ np.real(oracle._PAULI_COORDS @ lmat @ oracle._PAULI_HALVES).T
+            reference = 2.0 * np.maximum(
+                np.abs(c[:, 0]), np.sqrt(np.sum(c[:, 1:] ** 2, axis=1))
+            )
+            values = oracle._bloch_values(lmat, r)
+            top = int(np.argmax(reference))
+            assert int(np.argmax(values)) == top
+            assert values[top] == reference[top]
+
+    def test_bloch_grid_memory_does_not_grow_with_rows(self):
+        lmats = oracle._superops(self.pairs(66, 64), extended=False)
+        oracle._bloch_rows(lmats[:1], self.CFG)  # fills the grid cache
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                oracle._bloch_rows(rows, self.CFG)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lmats[:1])
+        assert peak(lmats) < 2 * one
 
     @staticmethod
     def per_pair_tree(samples, seed, cfg):
