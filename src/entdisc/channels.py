@@ -101,12 +101,10 @@ class KrausSet:
     """Flat list of Kraus operators with mixture weights folded in.
 
     ``operators`` already carry the sqrt(weight) scaling, so completeness
-    reads sum_i op_i^dag op_i = I.  ``weights`` records the mixture weights
-    of the component channels (summing to one) for provenance.
+    reads sum_i op_i^dag op_i = I.
     """
 
     operators: tuple
-    weights: tuple
 
     def completeness_deviation(self) -> float:
         import numpy as np
@@ -150,13 +148,12 @@ def _stacked(ops: list) -> np.ndarray:
 
 def kraus_of(c: ExtremalChannel) -> KrausSet:
     """The two Kraus operators of an extremal channel."""
-    return KrausSet(tuple(_stacked(_scaled_kraus(((1.0, c),)))), (1.0,))
+    return KrausSet(tuple(_stacked(_scaled_kraus(((1.0, c),)))))
 
 
 def kraus_of_mixture(c: QubitChannel) -> KrausSet:
     """Four scaled Kraus operators of a convex mixture."""
-    ops = tuple(_stacked(_scaled_kraus(_mixture_parts(c))))
-    return KrausSet(ops, (c.lam, 1.0 - c.lam))
+    return KrausSet(tuple(_stacked(_scaled_kraus(_mixture_parts(c)))))
 
 
 def kraus_operators(c: QubitChannel) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Command-line surface: params, classify, sweep, verify, simulate.
 
-Single results print as JSON (schema_version 1, floats at 17 significant
+Single results print as JSON (schema_version 2, floats at 17 significant
 digits so repeated runs are byte-identical); sweeps write CSV.  Exit codes:
 0 success, 1 validation failure, 2 verification failure.
 
@@ -21,7 +21,7 @@ import sys
 
 from . import __version__, channels, discrim
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
@@ -131,7 +131,6 @@ def _distance_dict(r: discrim.DistanceResult) -> dict:
         "value": r.value,
         "arg": r.arg,
         "branch": r.branch,
-        "scan_resolution": r.scan_resolution,
     }
 
 

@@ -16,9 +16,12 @@ the best trace distance using a probe with |1>-weight s is
     single:    g(s) = 2 sqrt(A^2 + 4 u ((|g1|+|g2|)/2)^2)
     entangled: E(s) = sum_j max(|T|, sqrt(A^2 + 4 u gj^2))
 
-and side entanglement is useful exactly when max E > max g.  The maxima
-have closed forms, and the comparison collapses to the decision tree
-implemented by :func:`classify`.
+and side entanglement is useful exactly when max E > max g.  Each maximum
+is the best profile value over a few candidate points: the endpoints of
+[0, 1] and the profile's stationary points, which have closed forms (the
+concave two-radical profile's is bracketed by bisecting its slope's sign).
+The comparison collapses to the decision tree implemented by
+:func:`classify`.
 
 One analysis per pair: :func:`classify_pair` returns the parameters with the
 verdict, which compute each maximum when it is first read and keep it.
@@ -89,7 +92,6 @@ class DistanceResult:
     value: float
     arg: float
     branch: str
-    scan_resolution: int = 0
     converged: bool = True  # False when a search stopped at its iteration cap
     iterations: int = 0  # see-saw steps of the winning search row; 0 for closed forms
 
@@ -144,20 +146,35 @@ def g_single(p: DiscrimParams, s: float) -> float:
 
 
 def f_entangled(p: DiscrimParams, s: float) -> float:
-    """Two-radical entangled profile, valid when both gamma_j^2 >= alpha beta."""
+    """The paper's two-radical profile f, equal to :func:`entangled_profile`
+    when both gamma_j^2 >= alpha beta; the tree reads it at the vertex of g."""
     s = _check_s(s)
     a2 = ((1.0 - s) * p.alpha - s * p.beta) ** 2
     u4 = 4.0 * (s * (1.0 - s))
     return math.sqrt(a2 + u4 * p.gamma1**2) + math.sqrt(a2 + u4 * p.gamma2**2)
 
 
-def G_mixed(p: DiscrimParams, s: float) -> float:
-    """Entangled profile in the regime gamma_m^2 < alpha beta < gamma_M^2."""
+def entangled_profile(p: DiscrimParams, s: float) -> float:
+    """Best entangled trace distance at fixed Schmidt weight s, in all three
+    regimes: E(s) = sum_j max(|T|, sqrt(A^2 + 4 u gamma_j^2))."""
     s = _check_s(s)
-    t_form = (1.0 - s) * p.alpha + s * p.beta
-    u = s * (1.0 - s)
-    c = p.gamma_M**2 - p.alpha * p.beta
-    return abs(t_form) + math.sqrt(t_form**2 + 4.0 * u * c)
+    t_abs = abs((1.0 - s) * p.alpha + s * p.beta)
+    a2 = ((1.0 - s) * p.alpha - s * p.beta) ** 2
+    u4 = 4.0 * (s * (1.0 - s))
+    r1 = math.sqrt(a2 + u4 * p.gamma1**2)
+    r2 = math.sqrt(a2 + u4 * p.gamma2**2)
+    return (r1 if r1 > t_abs else t_abs) + (r2 if r2 > t_abs else t_abs)
+
+
+def _best(profile, p: DiscrimParams, candidates) -> tuple[float, float]:
+    """The highest ``profile`` value over ``candidates`` with its point; the
+    first candidate wins ties."""
+    best, arg = -math.inf, math.nan
+    for s in candidates:
+        value = profile(p, s)
+        if value > best:
+            best, arg = value, s
+    return best, arg
 
 
 def _single_vertex(p: DiscrimParams):
@@ -166,7 +183,8 @@ def _single_vertex(p: DiscrimParams):
     The profile squared is quadratic in s; for |alpha+beta| < |g1|+|g2| it
     is concave with vertex t*.  The vertex is the maximizer only when it
     lies in [0, 1], which is equivalent to 2 alpha (alpha+beta) <= G^2 and
-    2 beta (alpha+beta) <= G^2.
+    2 beta (alpha+beta) <= G^2.  Those tests and the quotient round apart,
+    so the quotient is clamped to 1.
     """
     gsum = abs(p.gamma1) + abs(p.gamma2)
     apb = p.alpha + p.beta
@@ -176,52 +194,46 @@ def _single_vertex(p: DiscrimParams):
         return None
     num = 2.0 * p.alpha * apb - gsum**2
     den = 2.0 * apb**2 - 2.0 * gsum**2
-    return num / den
+    vertex = num / den
+    return vertex if vertex < 1.0 else 1.0
 
 
 def max_distance_single(p: DiscrimParams) -> DistanceResult:
-    """Maximum single-qubit trace distance over all probe states."""
-    gsum = abs(p.gamma1) + abs(p.gamma2)
-    apb = p.alpha + p.beta
+    """Maximum single-qubit trace distance over all probe states: the best
+    profile value over the vertex and the endpoints ("interior" when the
+    vertex wins)."""
     vertex = _single_vertex(p)
-    if vertex is not None:
-        value = (
-            gsum
-            * math.sqrt(gsum**2 - 4.0 * p.alpha * p.beta)
-            / math.sqrt(gsum**2 - apb**2)
-        )
-        return DistanceResult(value, vertex, "interior")
-    arg = 0.0 if abs(p.alpha) >= abs(p.beta) else 1.0
-    return DistanceResult(2.0 * abs(p.P), arg, "endpoint")
+    candidates = (0.0, 1.0) if vertex is None else (vertex, 0.0, 1.0)
+    value, arg = _best(g_single, p, candidates)
+    return DistanceResult(value, arg, "interior" if arg == vertex else "endpoint")
 
 
-def _single_radical_max(p: DiscrimParams) -> tuple[float, float]:
-    """Global max of ``G_mixed`` on [0, 1], taken over its candidate points.
+def _single_radical_max(p: DiscrimParams) -> list[float]:
+    """Candidate points of the single-radical maximum on [0, 1].
 
-    Squaring G' = 0 gives s^2 (d^2 - 4c) + s (2 alpha d + 4c) - (alpha d + c)
-    = 0 with d = beta - alpha and c = gamma_M^2 - alpha beta, whose roots are
-    the two sign branches of :func:`s_tilde`,
-    (gamma_M -+ alpha) / (2 gamma_M -+ (alpha + beta)).  The kink of |T| at
-    T = 0 is a local minimum, so the maximum sits at an endpoint or at a root
-    inside (0, 1).  The roots are read from this factored form, never from
-    the quadratic formula: at alpha = beta its double root s = 1/2 has a
-    discriminant that rounds negative.
+    Squaring E' = 0 gives s^2 (d^2 - 4c) + s (2 alpha d + 4c) - (alpha d + c)
+    = 0 with d = beta - alpha and c = gamma_M^2 - alpha beta, whose roots
+    are (gamma_M -+ alpha) / (2 gamma_M -+ (alpha + beta)).  The kink of
+    |T| at T = 0 is a local minimum, so the maximum sits at an endpoint or
+    at a root inside (0, 1).  The roots are read from this factored form,
+    never from the quadratic formula: at alpha = beta its double root
+    s = 1/2 has a discriminant that rounds negative.
     """
     gM, a, apb = p.gamma_M, p.alpha, p.alpha + p.beta
     candidates = [0.0, 1.0]
     for num, den in ((gM - a, 2.0 * gM - apb), (gM + a, 2.0 * gM + apb)):
         if den != 0.0 and 0.0 < num / den < 1.0:
             candidates.append(num / den)
-    # max keeps the first of equal values: ties go to s = 0, then s = 1
-    return max(((G_mixed(p, s), s) for s in candidates), key=lambda vs: vs[0])
+    return candidates
 
 
-def _two_radical_max(p: DiscrimParams) -> tuple[float, float]:
-    """Global max of ``f_entangled`` on [0, 1], for a concave profile.
+def _two_radical_max(p: DiscrimParams) -> tuple[float, ...]:
+    """Candidate points of the two-radical maximum on [0, 1], for a concave
+    profile.
 
     Bisects the sign of the slope, sum_j q_j' / (2 sqrt q_j) with
-    q_j = A^2 + 4 u gamma_j^2, down to an interval of width 2^-53, then
-    takes the best of the endpoints and that interval's ends.  The slope is
+    q_j = A^2 + 4 u gamma_j^2, down to an interval of width 2^-53; the
+    candidates are the endpoints and that interval's ends.  The slope is
     read only strictly inside (0, 1): at alpha = 0 it is infinite at s = 0.
     A radical with q_j = 0 is zero on all of [0, 1] (alpha = beta =
     gamma_j = 0) and adds no slope.
@@ -242,21 +254,19 @@ def _two_radical_max(p: DiscrimParams) -> tuple[float, float]:
             lo = s
         else:
             hi = s
-    # max keeps the first of equal values: ties go to s = 0, then s = 1
-    return max(
-        ((f_entangled(p, s), s) for s in (0.0, 1.0, lo, hi)), key=lambda vs: vs[0]
-    )
+    return (0.0, 1.0, lo, hi)
 
 
 def max_distance_entangled(p: DiscrimParams) -> DistanceResult:
-    """Maximum trace distance with an entangled probe.
+    """Maximum trace distance with an entangled probe: the best
+    :func:`entangled_profile` value over the candidate points of its regime.
 
-    Three regimes, each a closed form: when gamma_M^2 <= alpha beta both 2x2
-    blocks of the output difference have same-sign eigenvalues, the profile
-    is piecewise linear and peaks at an endpoint ("linear"); in the middle
-    regime only the larger gamma contributes a radical, and the maximum is
-    the best of the endpoints and the stationary points of that profile
-    ("single-radical"); otherwise both radicals are live ("two-radical").
+    When gamma_M^2 <= alpha beta both 2x2 blocks of the output difference
+    have same-sign eigenvalues, the profile is 2|T|, linear in s, and the
+    candidates are the endpoints ("linear"); in the middle regime only the
+    larger gamma contributes a radical, and the candidates are the
+    endpoints and that profile's stationary points ("single-radical");
+    otherwise both radicals are live ("two-radical").
 
     The two-radical profile is concave on [0, 1], so its stationary point
     is found by bisecting the sign of its slope.  Each radical is sqrt(q_j)
@@ -269,59 +279,12 @@ def max_distance_entangled(p: DiscrimParams) -> DistanceResult:
     """
     ab = p.alpha * p.beta
     if p.gamma_M**2 <= ab:
-        arg = 0.0 if abs(p.alpha) >= abs(p.beta) else 1.0
-        return DistanceResult(2.0 * max(abs(p.alpha), abs(p.beta)), arg, "linear")
-    if p.gamma_m**2 < ab:
-        value, arg = _single_radical_max(p)
-        return DistanceResult(value, arg, "single-radical")
-    value, arg = _two_radical_max(p)
-    return DistanceResult(value, arg, "two-radical")
-
-
-def s_tilde(p: DiscrimParams) -> float:
-    """Stationary point of the single-radical profile, before clamping.
-
-    Defined for gamma_M (alpha + beta) != 0; the degenerate product is
-    rejected because both closed forms divide by it.
-    """
-    prod = p.gamma_M * (p.alpha + p.beta)
-    if abs(prod) <= EPS_BOUNDARY:
-        raise ValueError("s_tilde undefined: gamma_M * (alpha + beta) is zero")
-    if prod > 0.0:
-        return (p.gamma_M - p.alpha) / (2.0 * p.gamma_M - (p.alpha + p.beta))
-    return (p.gamma_M + p.alpha) / (2.0 * p.gamma_M + (p.alpha + p.beta))
-
-
-def F_diag(p: DiscrimParams, s: float) -> float:
-    """Quartic whose negativity detects an entangled advantage over 2|P|
-    in the two-radical regime (s runs opposite to the profile variable)."""
-    s = _check_s(s)
-    P2 = p.P**2
-    sg = p.gamma1**2 + p.gamma2**2
-    dg2 = (p.gamma1**2 - p.gamma2**2) ** 2
-    apb = p.alpha + p.beta
-    return (
-        P2 * (P2 - p.beta**2)
-        + 2.0 * P2 * (p.beta * apb - sg) * s
-        + (P2 * (2.0 * sg - apb**2) + dg2) * s**2
-        - 2.0 * dg2 * s**3
-        + dg2 * s**4
-    )
-
-
-def R_diag(p: DiscrimParams, s: float) -> float:
-    """Quartic whose negativity detects an entangled advantage over 2|P|
-    in the single-radical regime."""
-    s = _check_s(s)
-    P2 = p.P**2
-    c = p.gamma_M**2 - p.alpha * p.beta
-    return (
-        P2 * (P2 - p.alpha**2)
-        + 2.0 * P2 * (p.alpha**2 - p.gamma_M**2) * s
-        + (c**2 - P2 * (p.alpha**2 + p.beta**2 - 2.0 * p.gamma_M**2)) * s**2
-        - 2.0 * c**2 * s**3
-        + c**2 * s**4
-    )
+        branch, candidates = "linear", (0.0, 1.0)
+    elif p.gamma_m**2 < ab:
+        branch, candidates = "single-radical", _single_radical_max(p)
+    else:
+        branch, candidates = "two-radical", _two_radical_max(p)
+    return DistanceResult(*_best(entangled_profile, p, candidates), branch)
 
 
 def success_probability(distance: float) -> float:

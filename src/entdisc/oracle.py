@@ -384,8 +384,7 @@ def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResult]:
     one array would hold rows x 4 n^2 at once for no measured gain, so the
     peak memory here does not grow with the number of rows.
     """
-    n = cfg.grid_points
-    params, r = _bloch_grid(n)
+    params, r = _bloch_grid(cfg.grid_points)
     tops, top_values = [], []
     for lmat in lmats:
         values = _bloch_values(lmat, r)
@@ -396,8 +395,7 @@ def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResult]:
         lmats, starts, np.array(top_values), starts, np.eye(2), cfg.refine_tol
     )
     return [
-        DistanceResult(float(b), float(abs(p[1]) ** 2), "bloch-grid", n,
-                       bool(c), int(s))
+        DistanceResult(float(b), float(abs(p[1]) ** 2), "bloch-grid", bool(c), int(s))
         for b, p, c, s in zip(best, psi, converged, steps)
     ]
 
@@ -431,9 +429,8 @@ def _restricted_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResul
         lmats, states[starts], np.array(top_values), states[tops],
         np.eye(4)[:, [0, 3]], cfg.refine_tol,
     )
-    n = cfg.grid_points
     return [
-        DistanceResult(float(b), min(float(abs(p[3]) ** 2), 1.0), "restricted", n,
+        DistanceResult(float(b), min(float(abs(p[3]) ** 2), 1.0), "restricted",
                        bool(c), int(s))
         for b, p, c, s in zip(best, psi, converged, steps)
     ]
@@ -467,7 +464,7 @@ def _full_engine(c1, c2, cfg: SearchConfig) -> DistanceResult:
     i = int(np.argmax(best))
     weight = float(abs(psi[i, 3]) ** 2)
     return DistanceResult(
-        float(best[i]), weight, "full", k, capped.size == 0, int(steps[i])
+        float(best[i]), weight, "full", capped.size == 0, int(steps[i])
     )
 
 

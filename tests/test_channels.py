@@ -18,7 +18,6 @@ class TestKrausOf:
         ks = channels.kraus_of(ExtremalChannel(0.0, 0.0))
         np.testing.assert_allclose(ks.operators[0], np.eye(2))
         np.testing.assert_allclose(ks.operators[1], np.zeros((2, 2)))
-        assert ks.weights == (1.0,)
 
     def test_full_amplitude_damping(self):
         ks = channels.kraus_of(ExtremalChannel(math.pi / 2, 0.0))

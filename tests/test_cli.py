@@ -30,7 +30,7 @@ class TestParams:
         )
         assert code == 0
         rec = json.loads(out)
-        assert rec["schema_version"] == 1
+        assert rec["schema_version"] == 2
         p = rec["params"]
         assert p["alpha"] == 0
         assert p["beta"] == -1

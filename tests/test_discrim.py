@@ -130,25 +130,31 @@ class TestProfiles:
         rng = np.random.default_rng(34)
         for _ in range(50):
             p = random_params(rng)
-            assert discrim.G_mixed(p, 0.0) == pytest.approx(2 * abs(p.alpha))
-            assert discrim.G_mixed(p, 1.0) == pytest.approx(2 * abs(p.beta))
+            assert discrim.entangled_profile(p, 0.0) == 2 * abs(p.alpha)
+            assert discrim.entangled_profile(p, 1.0) == 2 * abs(p.beta)
         # gamma_M^2 == alpha*beta collapses the radical
         p = DiscrimParams(0.8, 0.45, 0.6, 0.1)
         for s in np.linspace(0, 1, 21):
             t_form = (1 - s) * p.alpha + s * p.beta
-            assert discrim.G_mixed(p, s) == pytest.approx(2 * abs(t_form), abs=1e-12)
+            assert discrim.entangled_profile(p, s) == pytest.approx(
+                2 * abs(t_form), abs=1e-12
+            )
 
     def test_kernels_are_the_documented_formulas(self):
-        # bit for bit, at the endpoints and at points of a 1/10000 grid
+        # bit for bit, at the endpoints and at points of a 1/10000 grid; E
+        # also equals its regime's own formula within 2 ulp: 2|T| (linear),
+        # |T| + sqrt(T^2 + 4u (gM^2 - ab)) (single-radical), f (two-radical)
         rng = np.random.default_rng(36)
         step = 1.0 / 10000
-        for k in range(50):
-            if k % 2:
+        regimes = set()
+        for k in range(75):
+            if k % 3 == 0:
                 c1, c2 = (
                     QubitChannel.extremal(*rng.uniform(0, math.pi, 2))
                     for _ in range(2)
                 )
-            else:
+                p = discrim.compute_params(c1, c2)
+            elif k % 3 == 1:
                 c1, c2 = (
                     QubitChannel.mixture(
                         float(rng.uniform()),
@@ -157,22 +163,35 @@ class TestProfiles:
                     )
                     for _ in range(2)
                 )
-            p = discrim.compute_params(c1, c2)
+                p = discrim.compute_params(c1, c2)
+            else:
+                p = random_params(rng)
             a, b, g1, g2 = p.alpha, p.beta, p.gamma1, p.gamma2
-            gM = max(g1, g2, key=abs)
+            gM, gm = max(g1, g2, key=abs), min(g1, g2, key=abs)
             idx = rng.choice(10001, 200, replace=False)
             for s in [0.0, 1.0] + [int(i) * step for i in idx]:
                 A = (1 - s) * a - s * b
                 T = (1 - s) * a + s * b
                 u = s * (1 - s)
+                E = sum(max(abs(T), math.sqrt(A**2 + 4 * u * g**2)) for g in (g1, g2))
                 f = sum(math.sqrt(A**2 + 4 * u * g**2) for g in (g1, g2))
-                G = abs(T) + math.sqrt(T**2 + 4 * u * (gM**2 - a * b))
+                assert discrim.entangled_profile(p, s) == E
                 assert discrim.f_entangled(p, s) == f
-                assert discrim.G_mixed(p, s) == G
+                if gM**2 <= a * b:
+                    regimes.add("linear")
+                    own = 2 * abs(T)
+                elif gm**2 < a * b:
+                    regimes.add("single-radical")
+                    own = abs(T) + math.sqrt(T**2 + 4 * u * (gM**2 - a * b))
+                else:
+                    regimes.add("two-radical")
+                    own = discrim.f_entangled(p, s)
+                assert abs(E - own) <= 2 * math.ulp(own)
+        assert len(regimes) == 3
 
     def test_range_validation(self):
         p = DiscrimParams(0.1, 0.2, 0.3, 0.4)
-        for fn in (discrim.g_single, discrim.f_entangled, discrim.G_mixed):
+        for fn in (discrim.g_single, discrim.f_entangled, discrim.entangled_profile):
             with pytest.raises(ValueError):
                 fn(p, -0.01)
             with pytest.raises(ValueError):
@@ -228,6 +247,81 @@ class TestMaxDistanceSingle:
             assert closed >= grid - 1e-9
             assert closed <= grid + 1e-5
 
+    # Pairs on which a quotient closed form for the maximum reported more
+    # than the entangled maximum: quasi-extreme pairs with alpha = beta and
+    # |alpha + beta| = |g1| + |g2| up to rounding, where both of its radicals
+    # are rounding residues, and a pair whose rounded vertex fell at 1.25.
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ("extremal(2.08018903245475,1.061403621135043)",
+             "extremal(0.4271619053718463,2.714430748217947)"),
+            ("extremal(1.3116731288928696,1.8299195246969235)",
+             "extremal(2.409854764542708,0.7317378890470853)"),
+            ("extremal(2.13056136699564,2.13056136699564)",
+             "extremal(2.3878926471187882,2.3878926471187882)"),
+            ("extremal(1.5694388879891892,1.5694388879891892)",
+             "extremal(2.858656384456965,0.2829362691328284)"),
+            ("extremal(1.8384479292579352,1.3031447243318579)",
+             "extremal(0.92803693049420088,2.2135557230955922)"),
+        ],
+    )
+    def test_degenerate_pair_stays_below_entangled(self, pair):
+        p = discrim.compute_params(*(channels.parse_channel(text) for text in pair))
+        single = discrim.max_distance_single(p)
+        ent = discrim.max_distance_entangled(p)
+        assert single.value <= ent.value + 1e-12
+        assert 0.0 <= single.arg <= 1.0
+        assert 0.0 <= ent.arg <= 1.0
+
+    def test_matches_50_digit_reference(self):
+        # the best of g at 0, at 1 and at the exact vertex, in 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+
+        def reference(p):
+            a, b, g1, g2 = (mp.mpf(x) for x in (p.alpha, p.beta, p.gamma1, p.gamma2))
+            gsum, apb = abs(g1) + abs(g2), a + b
+
+            def g(s):
+                return 2 * mp.sqrt((a - s * apb) ** 2 + s * (1 - s) * gsum**2)
+
+            points = [mp.zero, mp.one]
+            if apb**2 < gsum**2:
+                vertex = (2 * a * apb - gsum**2) / (2 * apb**2 - 2 * gsum**2)
+                if 0 < vertex < 1:
+                    points.append(vertex)
+            return max(g(s) for s in points)
+
+        rng = np.random.default_rng(50)
+
+        def literal():
+            phi, theta = (float(x) for x in rng.uniform(0, math.pi, 2))
+            lam = float(rng.uniform())
+            return channels.parse_channel(
+                [
+                    "identity",
+                    f"ad({phi!r})",
+                    f"extremal({phi!r},{theta!r})",
+                    f"pauli({lam!r},{phi!r},{theta!r})",
+                    f"mix({lam!r};{phi!r},{theta!r};{theta!r},{phi!r})",
+                ][rng.integers(5)]
+            )
+
+        draws = [
+            literal,
+            lambda: checks.sample_mixture(rng),
+            lambda: checks.sample_quasi_extreme(rng),
+        ]
+        worst = 0.0
+        for k in range(3000):
+            draw = draws[k % 3]
+            p = discrim.compute_params(draw(), draw())
+            value = discrim.max_distance_single(p).value
+            worst = max(worst, abs(float(mp.mpf(value) - reference(p))))
+        assert worst <= 2e-15
+
 
 class TestMaxDistanceEntangled:
     def test_equal_gammas_match_single(self):
@@ -251,7 +345,6 @@ class TestMaxDistanceEntangled:
         assert r.value == pytest.approx(1.6)
         assert r.arg == 0.0
         assert r.branch == "linear"
-        assert r.scan_resolution == 0
 
     def test_single_radical_branch_matches_stilde(self):
         rng = np.random.default_rng(38)
@@ -266,12 +359,16 @@ class TestMaxDistanceEntangled:
             found += 1
             r = discrim.max_distance_entangled(p)
             assert r.branch == "single-radical"
-            st = min(max(discrim.s_tilde(p), 0.0), 1.0)
+            # the paper's stationary point s~, the root on the sign branch
+            # of gamma_M (alpha + beta), clamped to [0, 1]
+            gM, a, apb = p.gamma_M, p.alpha, p.alpha + p.beta
+            sign = 1.0 if gM * apb > 0.0 else -1.0
+            st = min(max((gM - sign * a) / (2.0 * gM - sign * apb), 0.0), 1.0)
             # the clamped stationary point is the argmax whenever it is
             # interior, and otherwise an endpoint is
             if 0.0 < st < 1.0:
                 assert r.arg == pytest.approx(st, abs=1e-12)
-            assert r.value >= discrim.G_mixed(p, st) - 1e-15
+            assert r.value >= discrim.entangled_profile(p, st) - 1e-15
 
     def test_single_radical_closed_form_matches_scan(self):
         # a dense scan of the profile is the reference; quasi-extreme pairs
@@ -298,9 +395,8 @@ class TestMaxDistanceEntangled:
                 found += 1
                 r = discrim.max_distance_entangled(p)
                 assert r.branch == "single-radical"
-                assert r.scan_resolution == 0
-                assert abs(r.value - dense_max(discrim.G_mixed, p)) <= 1e-15
-                assert r.value == discrim.G_mixed(p, r.arg)
+                assert abs(r.value - dense_max(discrim.entangled_profile, p)) <= 1e-15
+                assert r.value == discrim.entangled_profile(p, r.arg)
 
     def test_single_radical_double_root(self):
         # alpha = beta within rounding (a classify pair of the benchmark's
@@ -313,15 +409,14 @@ class TestMaxDistanceEntangled:
         r = discrim.max_distance_entangled(p)
         assert r.branch == "single-radical"
         assert r.arg == pytest.approx(0.5, abs=1e-12)
-        assert abs(r.value - dense_max(discrim.G_mixed, p)) <= 1e-15
+        assert abs(r.value - dense_max(discrim.entangled_profile, p)) <= 1e-15
         assert r.value >= discrim.max_distance_single(p).value
 
     def assert_two_radical_maximum(self, p):
         r = discrim.max_distance_entangled(p)
         assert r.branch == "two-radical"
-        assert r.scan_resolution == 0
-        assert r.value == discrim.f_entangled(p, r.arg)
-        assert abs(r.value - dense_max(discrim.f_entangled, p)) <= 1e-15
+        assert r.value == discrim.entangled_profile(p, r.arg)
+        assert abs(r.value - dense_max(discrim.entangled_profile, p)) <= 1e-15
         assert r.value >= discrim.max_distance_single(p).value - 1e-12
 
     @pytest.mark.parametrize(
@@ -369,17 +464,18 @@ class TestMaxDistanceEntangled:
                 self.assert_two_radical_maximum(p)
 
     @pytest.mark.parametrize(
-        "params, profile, other",
+        "params, branch",
         [
-            ((0.0, -1.0, -1.0, 0.0), "f_entangled", "G_mixed"),
-            ((0.5, 0.4, 0.9, 0.1), "G_mixed", "f_entangled"),
+            ((0.0, -1.0, -1.0, 0.0), "two-radical"),
+            ((0.5, 0.4, 0.9, 0.1), "single-radical"),
+            ((0.8, 0.5, 0.6, 0.3), "linear"),
         ],
     )
     def test_scan_evaluates_the_public_profile_by_name(
-        self, monkeypatch, params, profile, other
+        self, monkeypatch, params, branch
     ):
         # a tracer counts profile evaluations by replacing these names
-        calls = {"f_entangled": 0, "G_mixed": 0}
+        calls = {"entangled_profile": 0, "f_entangled": 0}
 
         def counting(name, fn):
             def wrapper(p, s):
@@ -390,11 +486,12 @@ class TestMaxDistanceEntangled:
 
         for name in calls:
             monkeypatch.setattr(discrim, name, counting(name, getattr(discrim, name)))
-        discrim.max_distance_entangled(DiscrimParams(*params))
+        r = discrim.max_distance_entangled(DiscrimParams(*params))
+        assert r.branch == branch
         # the endpoints and the stationary point (two-radical: the ends of
         # its bisection interval; single-radical: the sign branches)
-        assert 0 < calls[profile] <= 4
-        assert calls[other] == 0
+        assert 0 < calls["entangled_profile"] <= 4
+        assert calls["f_entangled"] == 0
 
     def test_never_below_single(self):
         rng = np.random.default_rng(39)
@@ -403,105 +500,6 @@ class TestMaxDistanceEntangled:
             single = discrim.max_distance_single(p).value
             ent = discrim.max_distance_entangled(p).value
             assert ent >= single - 1e-9
-
-
-class TestSTilde:
-    def test_symmetric_case(self):
-        assert discrim.s_tilde(DiscrimParams(0.4, 0.4, 0.9, 0.2)) == pytest.approx(0.5)
-
-    def test_positive_product(self):
-        p = DiscrimParams(0.4, 0.2, 0.5, 0.45)
-        assert discrim.s_tilde(p) == pytest.approx(0.25)
-
-    def test_negative_product(self):
-        p = DiscrimParams(0.4, 0.2, -0.5, 0.45)
-        assert discrim.s_tilde(p) == pytest.approx(0.25)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError, match="undefined"):
-            discrim.s_tilde(DiscrimParams(0.4, -0.4, 0.5, 0.1))
-
-
-class TestPolynomials:
-    def test_F_constant_term(self):
-        rng = np.random.default_rng(40)
-        for _ in range(100):
-            p = random_params(rng)
-            expected = p.P**2 * (p.P**2 - p.beta**2)
-            assert discrim.F_diag(p, 0.0) == pytest.approx(expected, abs=1e-12)
-
-    def test_F_sign_matches_direct_inequality_in_branch(self):
-        # In the branch |g1|+|g2| <= |a+b| < 2|gM| the quartic is negative
-        # somewhere exactly when the swapped-variable profile beats 2|P|.
-        rng = np.random.default_rng(41)
-        checked = 0
-        while checked < 1000:
-            p = random_params(rng)
-            gsum = abs(p.gamma1) + abs(p.gamma2)
-            if not (gsum <= abs(p.alpha + p.beta) < 2 * abs(p.gamma_M)):
-                continue
-            s = float(rng.uniform(0, 1))
-            checked += 1
-            w = (s * p.alpha - (1 - s) * p.beta) ** 2
-            u = s * (1 - s)
-            lhs = math.sqrt(w + 4 * u * p.gamma1**2) + math.sqrt(
-                w + 4 * u * p.gamma2**2
-            )
-            advantage = lhs > 2 * abs(p.P) + 1e-13
-            negative = discrim.F_diag(p, s) < -1e-13
-            assert advantage == negative
-
-    def test_F_nonnegative_when_alpha_dominates(self):
-        rng = np.random.default_rng(42)
-        checked = 0
-        while checked < 300:
-            p = random_params(rng)
-            if abs(p.alpha) < abs(p.beta):
-                continue
-            if p.alpha * (p.alpha + p.beta) < p.gamma1**2 + p.gamma2**2:
-                continue
-            checked += 1
-            for s in np.linspace(0, 1, 101):
-                assert discrim.F_diag(p, s) >= -1e-12
-
-    def test_R_constant_term(self):
-        rng = np.random.default_rng(43)
-        for _ in range(100):
-            p = random_params(rng)
-            expected = p.P**2 * (p.P**2 - p.alpha**2)
-            assert discrim.R_diag(p, 0.0) == pytest.approx(expected, abs=1e-12)
-
-    def test_R_nonnegative_when_gamma_M_small(self):
-        rng = np.random.default_rng(44)
-        checked = 0
-        while checked < 300:
-            p = random_params(rng)
-            if abs(p.gamma_M) > abs(p.P):
-                continue
-            checked += 1
-            for s in np.linspace(0, 1, 101):
-                assert discrim.R_diag(p, s) >= -1e-12
-
-    def test_R_sign_matches_direct_inequality(self):
-        # advantage over 2|P| in the single-radical regime is equivalent to
-        # R(s) < 0 or the degenerate guard P^2 < u (gM^2 - ab)
-        rng = np.random.default_rng(45)
-        checked = 0
-        while checked < 1000:
-            p = random_params(rng)
-            ab = p.alpha * p.beta
-            if not (p.gamma_m**2 < ab < p.gamma_M**2):
-                continue
-            s = float(rng.uniform(0, 1))
-            checked += 1
-            u = s * (1 - s)
-            c = p.gamma_M**2 - ab
-            a_form = (1 - s) * p.alpha - s * p.beta
-            t_form = abs((1 - s) * p.alpha + s * p.beta)
-            lhs = t_form + math.sqrt(a_form**2 + 4 * u * p.gamma_M**2)
-            advantage = lhs > 2 * abs(p.P) + 1e-13
-            predicted = discrim.R_diag(p, s) < -1e-13 or p.P**2 < u * c
-            assert advantage == predicted
 
 
 class TestSuccessProbability:
