@@ -18,8 +18,9 @@ the best trace distance using a probe with |1>-weight s is
 
 and side entanglement is useful exactly when max E > max g.  Each maximum
 is the best profile value over a few candidate points: the endpoints of
-[0, 1] and the profile's stationary points, which have closed forms (the
-concave two-radical profile's is bracketed by bisecting its slope's sign).
+[0, 1] and the profile's stationary points, which have closed forms
+except the concave two-radical profile's: the root of its slope, found by
+a bracketed Newton search.
 The comparison collapses to the decision tree implemented by
 :func:`classify`.
 
@@ -107,28 +108,36 @@ class Classification:
     margins: dict = field(default_factory=dict)
 
 
+def _moments(e: channels.ExtremalChannel) -> tuple[float, float, float, float]:
+    """(cos^2 theta, cos^2 phi, cos phi cos theta, sin phi sin theta) of one
+    extremal component."""
+    ct, cp = math.cos(e.theta), math.cos(e.phi)
+    return ct**2, cp**2, cp * ct, math.sin(e.phi) * math.sin(e.theta)
+
+
+def _averages(c) -> tuple[float, float, float, float]:
+    """The lam-weighted :func:`_moments` of a channel (extremal or mixture),
+    with one trig pass per distinct component."""
+    if isinstance(c, channels.ExtremalChannel):
+        lam, first, second = 1.0, c, c
+    else:
+        lam, first, second = c.lam, c.first, c.second
+    a1, b1, g1, h1 = m1 = _moments(first)
+    a2, b2, g2, h2 = m1 if second is first else _moments(second)
+    rest = 1.0 - lam
+    return (
+        lam * a1 + rest * a2,
+        lam * b1 + rest * b2,
+        lam * g1 + rest * g2,
+        lam * h1 + rest * h2,
+    )
+
+
 def compute_params(c1, c2) -> DiscrimParams:
     """Discrimination parameters of a channel pair (extremal or mixture)."""
-
-    def avg(c: channels.QubitChannel, f) -> float:
-        return c.lam * f(c.first) + (1.0 - c.lam) * f(c.second)
-
-    def coerce(c):
-        if isinstance(c, channels.ExtremalChannel):
-            return channels.QubitChannel(1.0, c, c)
-        return c
-
-    c1, c2 = coerce(c1), coerce(c2)
-    ct2 = lambda e: math.cos(e.theta) ** 2
-    cp2 = lambda e: math.cos(e.phi) ** 2
-    cc = lambda e: math.cos(e.phi) * math.cos(e.theta)
-    ss = lambda e: math.sin(e.phi) * math.sin(e.theta)
-    return DiscrimParams(
-        alpha=avg(c1, ct2) - avg(c2, ct2),
-        beta=avg(c1, cp2) - avg(c2, cp2),
-        gamma1=avg(c1, cc) - avg(c2, cc),
-        gamma2=avg(c1, ss) - avg(c2, ss),
-    )
+    a1, b1, g1, h1 = _averages(c1)
+    a2, b2, g2, h2 = _averages(c2)
+    return DiscrimParams(a1 - a2, b1 - b2, g1 - g2, h1 - h2)
 
 
 def _check_s(s: float) -> float:
@@ -227,34 +236,86 @@ def _single_radical_max(p: DiscrimParams) -> list[float]:
     return candidates
 
 
+def _two_radical_slope(p: DiscrimParams, s: float) -> tuple[float, float, float]:
+    """Slope of the two-radical profile at s, the slope's derivative, and
+    the profile's value.
+
+    With h_j = (2 - 4s) gamma_j^2 - (alpha + beta) A, half of q_j', each
+    radical sqrt(q_j) has slope h_j / sqrt(q_j) and second derivative
+    (((alpha + beta)^2 - 4 gamma_j^2) q_j - h_j^2) / q_j^1.5, whose
+    numerator is the constant 4 gamma_j^2 (alpha beta - gamma_j^2), <= 0
+    in the two-radical regime.  A radical with q_j = 0 is zero on all of
+    [0, 1] (alpha = beta = gamma_j = 0) and adds nothing.
+    """
+    ab, apb = p.alpha * p.beta, p.alpha + p.beta
+    a_form = (1.0 - s) * p.alpha - s * p.beta
+    u4 = 4.0 * (s * (1.0 - s))
+    slope = curve = value = 0.0
+    for gsq in (p.gamma1**2, p.gamma2**2):
+        q = a_form * a_form + u4 * gsq
+        if q > 0.0:
+            r = math.sqrt(q)
+            slope += ((2.0 - 4.0 * s) * gsq - apb * a_form) / r
+            curve += 4.0 * gsq * (ab - gsq) / q / r
+            value += r
+    return slope, curve, value
+
+
+_EDGE = 2.0**-53  # the slope is read only strictly inside (0, 1)
+_NEWTON_STOP = 2.0**-45  # a Newton step this short ends the search
+_FLAT = 2.0**-56  # share of the value a search may leave ungained
+
+
 def _two_radical_max(p: DiscrimParams) -> tuple[float, ...]:
     """Candidate points of the two-radical maximum on [0, 1], for a concave
-    profile.
+    profile: the endpoints and the root of the decreasing slope.
 
-    Bisects the sign of the slope, sum_j q_j' / (2 sqrt q_j) with
-    q_j = A^2 + 4 u gamma_j^2, down to an interval of width 2^-53; the
-    candidates are the endpoints and that interval's ends.  The slope is
-    read only strictly inside (0, 1): at alpha = 0 it is infinite at s = 0.
-    A radical with q_j = 0 is zero on all of [0, 1] (alpha = beta =
-    gamma_j = 0) and adds no slope.
+    A slope <= 0 at 2^-53 or > 0 at 1 - 2^-53 means a monotone profile, and
+    that end's interval [0, 2^-53] or [1 - 2^-53, 1] is returned; the slope
+    is never read at 0 or 1, where it can be infinite (at 0 when alpha = 0).
+    Otherwise Newton's method runs from 1/2 and keeps a bracket [lo, hi]
+    with slope(lo) > 0 >= slope(hi):
+
+    - it stops when a step is at most 2^-45, or when the step's predicted
+      gain, slope * step, is below 2^-56 of the value (a profile of small
+      curvature knows its root only to slope noise / curvature);
+    - a step that leaves the bracket, or comes from a slope derivative that
+      is not negative (each gamma_j^2 is 0 or alpha beta), is replaced by
+      the bracket's secant point, or its midpoint if the secant point is
+      not strictly inside;
+    - before that replacement it stops at s if concavity bounds the gain
+      left, |slope(s)| (hi - lo), below 2^-56 of the value, as on a profile
+      flat to rounding (alpha = beta = |gamma_j|) whose slope's sign is
+      noise;
+    - a bracket that its midpoint cannot split is returned whole.
     """
-    a, b, apb = p.alpha, p.beta, p.alpha + p.beta
-    squares = (p.gamma1**2, p.gamma2**2)
-    lo, hi = 0.0, 1.0
-    for _ in range(53):
-        s = 0.5 * (lo + hi)
-        a_form = (1.0 - s) * a - s * b
-        u4 = 4.0 * (s * (1.0 - s))
-        slope = 0.0
-        for gsq in squares:
-            q = a_form * a_form + u4 * gsq
-            if q > 0.0:
-                slope += ((2.0 - 4.0 * s) * gsq - apb * a_form) / math.sqrt(q)
+    lo, hi = _EDGE, 1.0 - _EDGE
+    slope_lo = _two_radical_slope(p, lo)[0]
+    if slope_lo <= 0.0:
+        return (0.0, 1.0, 0.0, lo)
+    slope_hi = _two_radical_slope(p, hi)[0]
+    if slope_hi > 0.0:
+        return (0.0, 1.0, hi, 1.0)
+    s = 0.5
+    while True:
+        slope, curve, value = _two_radical_slope(p, s)
         if slope > 0.0:
-            lo = s
+            lo, slope_lo = s, slope
         else:
-            hi = s
-    return (0.0, 1.0, lo, hi)
+            hi, slope_hi = s, slope
+        nxt = s - slope / curve if curve < 0.0 else math.nan
+        step = abs(nxt - s)
+        if step <= _NEWTON_STOP or abs(slope) * step <= _FLAT * value:
+            return (0.0, 1.0, min(max(nxt, lo), hi))
+        if not lo < nxt < hi:
+            if abs(slope) * (hi - lo) <= _FLAT * value:
+                return (0.0, 1.0, s)
+            nxt = lo + (hi - lo) * (slope_lo / (slope_lo - slope_hi))
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:
+                    return (0.0, 1.0, lo, hi)
+        s = nxt
 
 
 def max_distance_entangled(p: DiscrimParams) -> DistanceResult:
@@ -268,8 +329,9 @@ def max_distance_entangled(p: DiscrimParams) -> DistanceResult:
     endpoints and that profile's stationary points ("single-radical");
     otherwise both radicals are live ("two-radical").
 
-    The two-radical profile is concave on [0, 1], so its stationary point
-    is found by bisecting the sign of its slope.  Each radical is sqrt(q_j)
+    The two-radical profile is concave on [0, 1], so its slope decreases
+    and its stationary point is the slope's root, found by Newton's method
+    inside a bracket that the slope's sign keeps.  Each radical is sqrt(q_j)
     with q_j = A^2 + 4 u gamma_j^2 = c0 + c1 s + c2 s^2, whose second
     derivative is (4 c0 c2 - c1^2) / (4 q_j^1.5)
     = 4 gamma_j^2 (alpha beta - gamma_j^2) / q_j^1.5 <= 0 in this regime.

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +29,17 @@ def dense_max(fn, p: DiscrimParams) -> float:
             best_v, best_i = v, i
     lo = max(0.0, (best_i - 1) * step)
     hi = min(1.0, (best_i + 1) * step)
+    return max(best_v, golden_section(fn, p, lo, hi))
+
+
+def concave_max(fn, p: DiscrimParams) -> float:
+    """Reference maximum of a concave s -> fn(p, s) on [0, 1]: golden-section
+    refinement of all of [0, 1] to 1e-12, and the endpoints."""
+    return max(fn(p, 0.0), fn(p, 1.0), golden_section(fn, p, 0.0, 1.0))
+
+
+def golden_section(fn, p: DiscrimParams, lo: float, hi: float) -> float:
+    """fn at the middle of [lo, hi] after golden-section narrowing to 1e-12."""
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = fn(p, x1), fn(p, x2)
@@ -39,7 +52,80 @@ def dense_max(fn, p: DiscrimParams) -> float:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
             f1 = fn(p, x1)
-    return max(best_v, fn(p, 0.5 * (lo + hi)))
+    return fn(p, 0.5 * (lo + hi))
+
+
+def two_radical(p: DiscrimParams) -> bool:
+    ab = p.alpha * p.beta
+    return p.gamma_M**2 > ab and p.gamma_m**2 >= ab
+
+
+def two_radical_reference(p: DiscrimParams, mp):
+    """The two-radical maximum in mpmath: the best profile value over 0, 1
+    and the slope's root, bisected to 2^-160 on the slope's exact sign.
+
+    A float is an integer over a power of two, so alpha, beta and the
+    gammas are integers a, b, g_j over one denominator d.  At s = m / n the
+    slope sum_j h_j / sqrt(q_j) is sum_j H_j / (d sqrt(Q_j)) with integers
+    H_j = (2n - 4m) g_j^2 - (a + b) A and Q_j = A^2 + 4 m (n - m) g_j^2,
+    where A = a n - m (a + b), so its sign is decided without rounding.
+    """
+    fractions = [Fraction(x) for x in (p.alpha, p.beta, p.gamma1, p.gamma2)]
+    d = max(f.denominator for f in fractions)
+    a, b, g1, g2 = (int(f * d) for f in fractions)
+    n = 2**160
+
+    def rises(m: int) -> bool:
+        big_a = a * n - m * (a + b)
+        up, down = [], []
+        for g in (g1, g2):
+            q = big_a * big_a + 4 * m * (n - m) * g * g
+            h = (2 * n - 4 * m) * g * g - (a + b) * big_a
+            if q > 0 and h != 0:
+                (up if h > 0 else down).append((h, q))
+        if not up or not down:
+            return bool(up)
+        (hu, qu), (hd, qd) = up[0], down[0]
+        return hu * hu * qd > hd * hd * qu
+
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rises(mid):
+            lo = mid
+        else:
+            hi = mid
+
+    alpha, beta = mp.mpf(p.alpha), mp.mpf(p.beta)
+    squares = [mp.mpf(g) ** 2 for g in (p.gamma1, p.gamma2)]
+
+    def profile(s):
+        t = abs((1 - s) * alpha + s * beta)
+        a_form = (1 - s) * alpha - s * beta
+        return sum(max(t, mp.sqrt(a_form**2 + 4 * s * (1 - s) * gsq)) for gsq in squares)
+
+    return max(profile(mp.zero), profile(mp.one), profile(mp.mpf(lo) / n))
+
+
+def channel_draws(rng) -> list:
+    """Seeded extremal, mixture and quasi-extreme channel draws, in turn."""
+    return [
+        lambda: QubitChannel.extremal(*(float(x) for x in rng.uniform(0, math.pi, 2))),
+        lambda: checks.sample_mixture(rng),
+        lambda: checks.sample_quasi_extreme(rng),
+    ]
+
+
+def as_params(item) -> DiscrimParams:
+    """``item`` itself, or the parameters of a pair of channel literals."""
+    if isinstance(item, DiscrimParams):
+        return item
+    return discrim.compute_params(*(channels.parse_channel(t) for t in item))
+
+
+EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e-8, -1e-8) + tuple(
+    sign * x for x in (0.3, 0.5, 1.0, 2.0) for sign in (1.0, -1.0)
+)
 
 
 class TestComputeParams:
@@ -82,6 +168,48 @@ class TestComputeParams:
             ExtremalChannel(math.pi / 2, 0), ExtremalChannel(0, 0)
         )
         assert p.beta == pytest.approx(-1.0)
+
+    def test_bit_identical_to_per_moment_formulas(self):
+        # compute_params as it was written before its single trig pass:
+        # one lambda per moment, each evaluating its own cos and sin
+        moments = (
+            lambda e: math.cos(e.theta) ** 2,
+            lambda e: math.cos(e.phi) ** 2,
+            lambda e: math.cos(e.phi) * math.cos(e.theta),
+            lambda e: math.sin(e.phi) * math.sin(e.theta),
+        )
+
+        def reference(c1, c2):
+            c1, c2 = (
+                QubitChannel(1.0, c, c) if isinstance(c, ExtremalChannel) else c
+                for c in (c1, c2)
+            )
+            return tuple(
+                (c1.lam * f(c1.first) + (1.0 - c1.lam) * f(c1.second))
+                - (c2.lam * f(c2.first) + (1.0 - c2.lam) * f(c2.second))
+                for f in moments
+            )
+
+        rng = np.random.default_rng(53)
+
+        def extremal():
+            return ExtremalChannel(*(float(x) for x in rng.uniform(0, math.pi, 2)))
+
+        def equal_halves():
+            e = extremal()
+            return QubitChannel(float(rng.uniform()), e, ExtremalChannel(e.phi, e.theta))
+
+        draws = [
+            lambda: QubitChannel.extremal(*(float(x) for x in rng.uniform(0, math.pi, 2))),
+            lambda: checks.sample_mixture(rng),
+            extremal,
+            lambda: QubitChannel(float(rng.integers(2)), extremal(), extremal()),
+            equal_halves,
+        ]
+        for k in range(10000):
+            c1, c2 = draws[k % 5](), draws[(k // 5) % 5]()
+            p = discrim.compute_params(c1, c2)
+            assert (p.alpha, p.beta, p.gamma1, p.gamma2) == reference(c1, c2)
 
     def test_tie_selections(self):
         p = DiscrimParams(0.5, -0.5, 0.3, -0.3)
@@ -463,6 +591,129 @@ class TestMaxDistanceEntangled:
                 found += 1
                 self.assert_two_radical_maximum(p)
 
+    TWO_RADICAL_DIRECTED = [
+        # endpoint maxima
+        DiscrimParams(0.0, -1.0, -1.0, 0.0),
+        DiscrimParams(-1.0, 0.0, 0.0, -1.0),
+        ("ad(3.1413396748067317)", "identity"),
+        # alpha = 0: the slope is infinite at s = 0
+        ("identity", "ad(3.1114479478770947)"),
+        DiscrimParams(0.0, 0.3, 1e-8, 0.3),
+        DiscrimParams(1e-8, -0.5, 0.0, 0.5),
+        # the double root alpha = beta = |gamma_m|
+        (
+            "extremal(3.057121351229078,0.08447130236071514)",
+            "extremal(3.0825800696421006,3.0825800696421006)",
+        ),
+        DiscrimParams(0.3, 0.3, 0.3, -0.8),
+        # alpha = beta = |gamma_j| up to rounding: flat, the slope's sign is noise
+        DiscrimParams(
+            0.2825546478975348, 0.2825546478975346,
+            -0.2825546478975347, -0.28255464789753476,
+        ),
+        # gamma1 = gamma2 = 0 with alpha beta < 0: the slope's derivative is 0
+        DiscrimParams(0.5, -0.3, 0.0, 0.0),
+        DiscrimParams(0.4, -0.4, 0.0, 0.0),
+    ]
+
+    def test_two_radical_matches_50_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        draws = channel_draws(np.random.default_rng(54))
+        pairs = [as_params(item) for item in self.TWO_RADICAL_DIRECTED]
+        k = 0
+        while len(pairs) < 2000 + len(self.TWO_RADICAL_DIRECTED):
+            draw = draws[k % 3]
+            k += 1
+            p = discrim.compute_params(draw(), draw())
+            if two_radical(p):
+                pairs.append(p)
+        worst = 0.0
+        for p in pairs:
+            assert two_radical(p)
+            value = discrim.max_distance_entangled(p).value
+            worst = max(worst, abs(float(mp.mpf(value) - two_radical_reference(p, mp))))
+        assert worst <= 4.4e-16
+
+    def test_two_radical_maximum_reads_few_slopes(self, monkeypatch):
+        # each read is one evaluation of both radicals' slopes; a bisection
+        # to 2^-53 makes 53
+        slope = discrim._two_radical_slope
+        reads = [0]
+
+        def counting(p, s):
+            reads[0] += 1
+            return slope(p, s)
+
+        monkeypatch.setattr(discrim, "_two_radical_slope", counting)
+        draws = channel_draws(np.random.default_rng(55))
+        counts = {"falls": [], "rises": [], "interior": []}
+        for k in range(6000):
+            draw = draws[k % 3]
+            p = discrim.compute_params(draw(), draw())
+            if not two_radical(p):
+                continue
+            reads[0] = 0
+            discrim._two_radical_max(p)
+            if slope(p, 2.0**-53)[0] <= 0.0:
+                counts["falls"].append(reads[0])
+            elif slope(p, 1.0 - 2.0**-53)[0] > 0.0:
+                counts["rises"].append(reads[0])
+            else:
+                counts["interior"].append(reads[0])
+        assert all(len(c) > 100 for c in counts.values())
+        # a monotone profile reads the slope at 2^-53, then at 1 - 2^-53
+        assert set(counts["falls"]) == {1}
+        assert set(counts["rises"]) == {2}
+        assert max(counts["interior"]) <= 8
+        directed = [
+            # a quasi-extreme pair of small curvature, whose root is known
+            # only to slope noise / curvature: 3 reads, 10 without the
+            # predicted-gain stop
+            ("extremal(0.70057612063200869,2.4410165329577844)",
+             "extremal(1.5899104178697403,1.5899104178697403)"),
+            # roots near an end, where Newton steps overshoot the bracket:
+            # 6 and 7 reads, 10 and 31 with midpoints in place of secants
+            ("extremal(1.6314014609917142,3.1398368144479747)",
+             "extremal(1.5811813878597754,1.6706546129718898)"),
+            DiscrimParams(0.0, 0.5, 1e-8, 0.5),
+        ]
+        for item in directed:
+            reads[0] = 0
+            discrim._two_radical_max(as_params(item))
+            assert reads[0] <= 8
+
+    def test_two_radical_edge_grid(self):
+        # every two-radical tuple over zeros, signed zeros, subnormals, tiny
+        # and unit-scale values; the maximum depends on alpha, beta and the
+        # gamma squares, so each distinct profile gets one reference
+        references = {}
+        seen = 0
+        for values in itertools.product(EDGE_VALUES, repeat=4):
+            p = DiscrimParams(*values)
+            if not two_radical(p):
+                continue
+            seen += 1
+            r = discrim.max_distance_entangled(p)
+            assert math.isfinite(r.value)
+            assert 0.0 <= r.arg <= 1.0
+            assert r.value == discrim.entangled_profile(p, r.arg)
+            key = (p.alpha, p.beta, p.gamma1**2, p.gamma2**2)
+            if key not in references:
+                references[key] = (p, concave_max(discrim.entangled_profile, p))
+            # golden-section points round worse than s = 1/2 or a root, so
+            # this reference bounds the maximum from below only
+            assert r.value >= references[key][1] - 1e-15
+        assert seen == 36274
+        # the dense grid on a seeded sample of the distinct profiles
+        rng = np.random.default_rng(56)
+        keys = list(references)
+        for i in rng.choice(len(keys), 40, replace=False):
+            p, _ = references[keys[i]]
+            value = discrim.max_distance_entangled(p).value
+            assert abs(value - dense_max(discrim.entangled_profile, p)) <= 1e-15
+
     @pytest.mark.parametrize(
         "params, branch",
         [
@@ -471,7 +722,7 @@ class TestMaxDistanceEntangled:
             ((0.8, 0.5, 0.6, 0.3), "linear"),
         ],
     )
-    def test_scan_evaluates_the_public_profile_by_name(
+    def test_max_evaluates_the_public_profile_by_name(
         self, monkeypatch, params, branch
     ):
         # a tracer counts profile evaluations by replacing these names
@@ -488,8 +739,9 @@ class TestMaxDistanceEntangled:
             monkeypatch.setattr(discrim, name, counting(name, getattr(discrim, name)))
         r = discrim.max_distance_entangled(DiscrimParams(*params))
         assert r.branch == branch
-        # the endpoints and the stationary point (two-radical: the ends of
-        # its bisection interval; single-radical: the sign branches)
+        # the endpoints and the stationary point (two-radical: the Newton
+        # point, or the ends of the width-2^-53 interval at a monotone
+        # profile's higher end; single-radical: the sign branches)
         assert 0 < calls["entangled_profile"] <= 4
         assert calls["f_entangled"] == 0
 

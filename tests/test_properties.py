@@ -122,7 +122,7 @@ def two_radical(p) -> bool:
     channel_spec, channel_spec, st.floats(0.0, 1.0), st.floats(0.0, 1.0)
 )
 def test_two_radical_profile_is_midpoint_concave(spec1, spec2, s, t):
-    # the theorem the two-radical maximum's bisection relies on
+    # the theorem the two-radical maximum's bracketed Newton search relies on
     p = discrim.compute_params(build(spec1), build(spec2))
     hypothesis.assume(two_radical(p))
     mid = discrim.f_entangled(p, 0.5 * (s + t))
