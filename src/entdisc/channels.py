@@ -247,7 +247,12 @@ def choi_matrix(k: KrausSet) -> np.ndarray:
 def is_quasi_extreme(c: ExtremalChannel) -> bool:
     """True when sin(theta) = sin(phi): the ellipsoid touches the Bloch
     sphere at exactly two points and the map is not a true extreme point."""
-    return abs(math.sin(c.theta) - math.sin(c.phi)) <= QUASI_EXTREME_TOL
+    return quasi_extreme_sines(math.sin(c.phi), math.sin(c.theta))
+
+
+def quasi_extreme_sines(sin_phi: float, sin_theta: float) -> bool:
+    """:func:`is_quasi_extreme` of the component with these sines."""
+    return abs(sin_theta - sin_phi) <= QUASI_EXTREME_TOL
 
 
 # ---------------------------------------------------------------------------

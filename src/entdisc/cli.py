@@ -9,6 +9,15 @@ per process (:func:`build_parser`), and ``params``, ``classify`` and
 ``sweep`` run on the closed forms in :mod:`discrim`, which need ``math``
 alone: ``verify`` and ``simulate`` import the oracle, the checks and numpy
 when they run.
+
+A sweep validates its grid once, from the channels at the grid's corners,
+and builds no channel object per cell.  Each cell's parameters come from
+:func:`discrim.channel_moments`, the same path ``classify`` takes from a
+channel, with cos and sin taken once per distinct angle value and a
+channel's moments kept while its parameters do not change; the verdict
+comes from :func:`discrim.classify_moments`, and the row is written with
+:func:`_fmt_float` on its floats and literal ``true``/``false`` and node
+strings.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import argparse
 import cmath
 import functools
 import math
+import operator
 import sys
 
 from . import __version__, channels, discrim
@@ -209,28 +219,55 @@ def _parse_axis(text: str):
     name = name.strip()
     if name not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {name!r}")
+    usage = f"axis spec must be name=start:stop:steps, got {text!r}"
     pieces = spec.split(":")
     if len(pieces) != 3:
-        raise ValueError(f"axis spec must be name=start:stop:steps, got {text!r}")
-    start, stop = float(pieces[0]), float(pieces[1])
-    steps = int(pieces[2])
+        raise ValueError(usage)
+    try:
+        start, stop, steps = float(pieces[0]), float(pieces[1]), int(pieces[2])
+    except ValueError:
+        raise ValueError(usage) from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"axis bounds must be finite, got {text!r}")
     if steps < 2:
         raise ValueError(f"axis needs at least 2 steps: {text!r}")
     return name, start, stop, steps
 
 
-def _sweep_channels(values: dict):
-    c1 = channels.QubitChannel.mixture(
-        values["lambda1"],
-        channels.ExtremalChannel(values["phi1"], values["theta1"]),
-        channels.ExtremalChannel(values["phi1p"], values["theta1p"]),
-    )
-    c2 = channels.QubitChannel.mixture(
-        values["lambda2"],
-        channels.ExtremalChannel(values["phi2"], values["theta2"]),
-        channels.ExtremalChannel(values["phi2p"], values["theta2p"]),
-    )
-    return c1, c2
+def _parse_fixed(items, axis_names) -> dict:
+    """Sweep parameter values: the defaults, then each ``name=value`` item."""
+    values = {
+        "phi1": 0.0, "theta1": 0.0, "phi2": 0.0, "theta2": 0.0,
+        "lambda1": 1.0, "lambda2": 1.0,
+        "phi1p": 0.0, "theta1p": 0.0, "phi2p": 0.0, "theta2p": 0.0,
+    }
+    seen = set()
+    for item in items:
+        name, eq, value = item.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ValueError(f"fixed parameter must be name=value, got {item!r}")
+        if name not in SWEEP_PARAMS:
+            raise ValueError(f"unknown fixed parameter {name!r}")
+        if name in seen:
+            raise ValueError(f"fixed parameter {name!r} given twice")
+        if name in axis_names:
+            raise ValueError(f"{name!r} is both fixed and a sweep axis")
+        try:
+            values[name] = float(value)
+        except ValueError:
+            raise ValueError(
+                f"fixed parameter {name!r} needs a number, got {item!r}"
+            ) from None
+        seen.add(name)
+    return values
+
+
+# Each channel's sweep parameters, in discrim.channel_moments' order.
+CHANNEL_PARAMS = (
+    ("lambda1", "phi1", "theta1", "phi1p", "theta1p"),
+    ("lambda2", "phi2", "theta2", "phi2p", "theta2p"),
+)
 
 
 def cmd_sweep(args) -> int:
@@ -239,55 +276,68 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs one or two --grid axes")
     if len(axes) == 2 and axes[0][0] == axes[1][0]:
         raise ValueError(f"sweep axes must differ, got {axes[0][0]!r} twice")
-    fixed = {
-        "phi1": 0.0, "theta1": 0.0, "phi2": 0.0, "theta2": 0.0,
-        "lambda1": 1.0, "lambda2": 1.0,
-        "phi1p": 0.0, "theta1p": 0.0, "phi2p": 0.0, "theta2p": 0.0,
-    }
-    for item in args.fix:
-        name, _, value = item.partition("=")
-        name = name.strip()
-        if name not in SWEEP_PARAMS:
-            raise ValueError(f"unknown fixed parameter {name!r}")
-        if name in (a[0] for a in axes):
-            raise ValueError(f"{name!r} is both fixed and a sweep axis")
-        fixed[name] = float(value)
+    names = [a[0] for a in axes]
+    values = _parse_fixed(args.fix, names)
+    grids = [
+        [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+        for _, start, stop, steps in axes
+    ]
+    if len(axes) == 1:
+        grids.append([None])
+    channel1, channel2 = (operator.itemgetter(*keys) for keys in CHANNEL_PARAMS)
 
-    def axis_values(axis):
-        _, start, stop, steps = axis
-        return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    def set_cell(v1, v2):
+        values[names[0]] = v1
+        if v2 is not None:
+            values[names[1]] = v2
 
-    def cells(v1_values, v2_values):
-        names = [a[0] for a in axes]
-        for v1 in v1_values:
-            for v2 in v2_values:
-                values = fixed | dict(zip(names, (v1, v2)))
-                yield v1, v2, _sweep_channels(values)
-
-    grids = [axis_values(a) for a in axes]
-    second = grids[1] if len(axes) == 2 else [None]
     # The axes are linear and every parameter range is an interval, so the
     # channels at the grid's corners validate every cell before any output.
-    list(cells([grids[0][0], grids[0][-1]], [second[0], second[-1]]))
+    for v1 in (grids[0][0], grids[0][-1]):
+        for v2 in (grids[1][0], grids[1][-1]):
+            set_cell(v1, v2)
+            for lam, phi, theta, phi_p, theta_p in (channel1(values), channel2(values)):
+                channels.QubitChannel.mixture(
+                    lam,
+                    channels.ExtremalChannel(phi, theta),
+                    channels.ExtremalChannel(phi_p, theta_p),
+                )
+
+    # A cell builds no channel object: trig is taken once per distinct
+    # angle, and each channel's moments are kept while its parameters stay
+    # (the last two sets, so a channel that no axis moves is done once).
+    trig = functools.lru_cache(maxsize=None)(discrim.cos_sin)
+
+    @functools.lru_cache(maxsize=2)
+    def moments(lam, phi, theta, phi_p, theta_p):
+        return discrim.channel_moments(lam, phi, theta, phi_p, theta_p, trig)
+
+    fmt = _fmt_float
+    second = [("" if v2 is None else fmt(v2), v2) for v2 in grids[1]]
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
-            for v1, v2, (c1, c2) in cells(grids[0], second):
-                cls = discrim.classify_pair(c1, c2)
-                p = cls.params
-                single, ent = p.single.value, p.entangled.value
-                row = (
-                    v1, "" if v2 is None else v2, p.alpha, p.beta, p.gamma1,
-                    p.gamma2, cls.useful, cls.node, cls.boundary,
-                    single, ent, ent - single,
-                )
-                fields = [x if isinstance(x, str) else _emit_scalar(x) for x in row]
-                fh.write(",".join(fields) + "\n")
+            for v1 in grids[0]:
+                text1 = fmt(v1)
+                for text2, v2 in second:
+                    set_cell(v1, v2)
+                    cls = discrim.classify_moments(
+                        moments(*channel1(values)), moments(*channel2(values))
+                    )
+                    p = cls.params
+                    single, ent = p.single.value, p.entangled.value
+                    fh.write(
+                        f"{text1},{text2},{fmt(p.alpha)},{fmt(p.beta)},"
+                        f"{fmt(p.gamma1)},{fmt(p.gamma2)},"
+                        f"{'true' if cls.useful else 'false'},{cls.node},"
+                        f"{'true' if cls.boundary else 'false'},"
+                        f"{fmt(single)},{fmt(ent)},{fmt(ent - single)}\n"
+                    )
     except OSError as exc:
         raise ValueError(f"cannot write {args.out!r}: {exc}") from None
     rec = _base_record("sweep")
     rec["out"] = args.out
-    rec["rows"] = len(grids[0]) * len(second)
+    rec["rows"] = len(grids[0]) * len(grids[1])
     _print_record(rec)
     return EXIT_OK
 

@@ -24,6 +24,12 @@ a bracketed Newton search.
 The comparison collapses to the decision tree implemented by
 :func:`classify`.
 
+One path from angles to parameters: :func:`channel_moments` holds the
+moment expressions, the mixture weighting and the quasi-extreme point-map
+rule, and :func:`classify_moments` the T1 shortcut.  :func:`compute_params`
+and :func:`classify_pair` call them on channel objects, the CLI sweep on
+grid values.
+
 One analysis per pair: :func:`classify_pair` returns the parameters with the
 verdict, which compute each maximum when it is first read and keep it.
 
@@ -37,13 +43,36 @@ of how |alpha + beta| compares to |gamma1| + |gamma2|.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 from . import channels
 
 EPS_BOUNDARY = 1e-9
+
+
+class _computed_once:
+    """A lazy attribute: ``fn(obj)`` on first read, kept in ``obj.__dict__``.
+
+    A non-data descriptor, so later reads find the instance entry and never
+    call it again.  Unlike :class:`functools.cached_property` before Python
+    3.12 it takes no lock, which made a first read about 2.5x slower.  Two
+    threads racing on a first read may both compute the value; the results
+    are equal.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -75,12 +104,12 @@ class DiscrimParams:
         """alpha or beta, whichever has the larger magnitude (alpha wins ties)."""
         return self.alpha if abs(self.alpha) >= abs(self.beta) else self.beta
 
-    @functools.cached_property
+    @_computed_once
     def single(self) -> DistanceResult:
         """:func:`max_distance_single`, computed on first read and kept."""
         return max_distance_single(self)
 
-    @functools.cached_property
+    @_computed_once
     def entangled(self) -> DistanceResult:
         """:func:`max_distance_entangled`, computed on first read and kept."""
         return max_distance_entangled(self)
@@ -108,36 +137,61 @@ class Classification:
     margins: dict = field(default_factory=dict)
 
 
-def _moments(e: channels.ExtremalChannel) -> tuple[float, float, float, float]:
-    """(cos^2 theta, cos^2 phi, cos phi cos theta, sin phi sin theta) of one
-    extremal component."""
-    ct, cp = math.cos(e.theta), math.cos(e.phi)
-    return ct**2, cp**2, cp * ct, math.sin(e.phi) * math.sin(e.theta)
+def cos_sin(x: float) -> tuple[float, float]:
+    """cos x and sin x: the trig that a component's moments and its
+    quasi-extreme test read."""
+    return math.cos(x), math.sin(x)
 
 
-def _averages(c) -> tuple[float, float, float, float]:
-    """The lam-weighted :func:`_moments` of a channel (extremal or mixture),
-    with one trig pass per distinct component."""
-    if isinstance(c, channels.ExtremalChannel):
-        lam, first, second = 1.0, c, c
+def channel_moments(lam, phi, theta, phi_p, theta_p, trig=cos_sin):
+    """The lam-weighted moments of lam * E(phi, theta) + (1 - lam) *
+    E(phi_p, theta_p), and whether that channel is a quasi-extreme point map.
+
+    The moments are <cos^2 theta>, <cos^2 phi>, <cos phi cos theta> and
+    <sin phi sin theta>.  ``trig`` maps an angle to its (cos, sin), so a
+    caller that meets the same angle many times can pass a memoized
+    :func:`cos_sin`.  Equal components make the channel extremal whatever
+    lam is; the second component's trig is then not read.  The channel is a
+    point map when it is extremal (lam = 1 or equal components) or lam = 0,
+    and quasi-extreme when that one component is.
+    """
+    cp1, sp1 = trig(phi)
+    ct1, st1 = trig(theta)
+    same = phi == phi_p and theta == theta_p
+    if same:
+        cp2, sp2, ct2, st2 = cp1, sp1, ct1, st1
     else:
-        lam, first, second = c.lam, c.first, c.second
-    a1, b1, g1, h1 = m1 = _moments(first)
-    a2, b2, g2, h2 = m1 if second is first else _moments(second)
+        (cp2, sp2), (ct2, st2) = trig(phi_p), trig(theta_p)
     rest = 1.0 - lam
-    return (
-        lam * a1 + rest * a2,
-        lam * b1 + rest * b2,
-        lam * g1 + rest * g2,
-        lam * h1 + rest * h2,
+    moments = (
+        lam * ct1**2 + rest * ct2**2,
+        lam * cp1**2 + rest * cp2**2,
+        lam * (cp1 * ct1) + rest * (cp2 * ct2),
+        lam * (sp1 * st1) + rest * (sp2 * st2),
     )
+    if lam == 1.0 or same:
+        point = channels.quasi_extreme_sines(sp1, st1)
+    else:
+        point = lam == 0.0 and channels.quasi_extreme_sines(sp2, st2)
+    return moments, point
+
+
+def _channel_moments(c):
+    """:func:`channel_moments` of a channel object (extremal or mixture)."""
+    if isinstance(c, channels.ExtremalChannel):
+        return channel_moments(1.0, c.phi, c.theta, c.phi, c.theta)
+    first, second = c.first, c.second
+    return channel_moments(c.lam, first.phi, first.theta, second.phi, second.theta)
+
+
+def _params(m1, m2) -> DiscrimParams:
+    """Parameters of a pair from each channel's moments: their differences."""
+    return DiscrimParams(m1[0] - m2[0], m1[1] - m2[1], m1[2] - m2[2], m1[3] - m2[3])
 
 
 def compute_params(c1, c2) -> DiscrimParams:
     """Discrimination parameters of a channel pair (extremal or mixture)."""
-    a1, b1, g1, h1 = _averages(c1)
-    a2, b2, g2, h2 = _averages(c2)
-    return DiscrimParams(a1 - a2, b1 - b2, g1 - g2, h1 - h2)
+    return _params(_channel_moments(c1)[0], _channel_moments(c2)[0])
 
 
 def _check_s(s: float) -> float:
@@ -441,8 +495,8 @@ def classify(p: DiscrimParams) -> Classification:
     return finish(False, "T2/A.2")
 
 
-def classify_pair(c1, c2) -> Classification:
-    """Classify a channel pair; the verdict carries the pair's ``params``.
+def classify_moments(c1, c2) -> Classification:
+    """Classify a pair given each channel's :func:`channel_moments`.
 
     A pair of quasi-extreme point maps short-circuits to the T1 verdict
     (side entanglement never helps there), reading no maximum.  The
@@ -450,15 +504,14 @@ def classify_pair(c1, c2) -> Classification:
     not to proper mixtures of quasi-extreme components (those are interior
     channels, e.g. Pauli channels, where entanglement can help).
     """
-
-    def quasi_point_map(c) -> bool:
-        if isinstance(c, channels.ExtremalChannel):
-            return channels.is_quasi_extreme(c)
-        if c.is_extremal:
-            return channels.is_quasi_extreme(c.first)
-        return c.lam == 0.0 and channels.is_quasi_extreme(c.second)
-
-    p = compute_params(c1, c2)
-    if quasi_point_map(c1) and quasi_point_map(c2):
+    (m1, point1), (m2, point2) = c1, c2
+    p = _params(m1, m2)
+    if point1 and point2:
         return Classification(False, "T1", False, p)
     return classify(p)
+
+
+def classify_pair(c1, c2) -> Classification:
+    """Classify a channel pair; the verdict carries the pair's ``params``.
+    See :func:`classify_moments` for the T1 shortcut."""
+    return classify_moments(_channel_moments(c1), _channel_moments(c2))

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entdisc import checks, cli, discrim, oracle
+from entdisc import channels, checks, cli, discrim, oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -213,6 +214,208 @@ class TestSweep:
             "--out", "/nonexistent-dir/x.csv",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "fix, named",
+        [
+            (["phi2=1", "phi2=2"], "'phi2' given twice"),
+            (["phi2"], "'phi2'"),  # no '=' at all
+            (["theta2=abc"], "'theta2=abc'"),
+        ],
+    )
+    def test_bad_fixed_item_named(self, tmp_path, capsys, fix, named):
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", *fix, "--grid", "phi1=0:1:2", "--out", str(out_path)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and named in err
+        assert "could not convert" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "spec", ["theta1=0:inf:2", "theta1=-inf:1:3", "theta1=nan:1:2", "theta1=0:1e999:2"]
+    )
+    def test_non_finite_axis_bound_rejected(self, tmp_path, capsys, spec):
+        # unchecked, 0:inf:2 fails at its first cell on inf * 0 = nan, a
+        # value nobody typed
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--grid", spec, "--out", str(out_path)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: axis bounds must be finite, got {spec!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def reference_rows(fix, grid):
+        """The CSV rows of a sweep, built cell by cell from channel objects,
+        ``classify_pair`` and the JSON scalar emitter."""
+        values = {name: 0.0 for name in cli.SWEEP_PARAMS}
+        values.update(lambda1=1.0, lambda2=1.0)
+        values.update((k, float(v)) for k, v in (f.split("=") for f in fix))
+        axes = []
+        for spec in grid:
+            name, _, bounds = spec.partition("=")
+            start, stop, steps = bounds.split(":")
+            start, stop, steps = float(start), float(stop), int(steps)
+            axes.append(
+                (name, [start + (stop - start) * i / (steps - 1) for i in range(steps)])
+            )
+        if len(axes) == 1:
+            axes.append((None, [None]))
+        rows = []
+        for v1 in axes[0][1]:
+            for v2 in axes[1][1]:
+                cell = values | {axes[0][0]: v1, axes[1][0]: v2}
+                c1, c2 = (
+                    channels.QubitChannel.mixture(
+                        cell[f"lambda{i}"],
+                        channels.ExtremalChannel(cell[f"phi{i}"], cell[f"theta{i}"]),
+                        channels.ExtremalChannel(cell[f"phi{i}p"], cell[f"theta{i}p"]),
+                    )
+                    for i in (1, 2)
+                )
+                cls = discrim.classify_pair(c1, c2)
+                p = cls.params
+                single, ent = p.single.value, p.entangled.value
+                row = (
+                    v1, "" if v2 is None else v2, p.alpha, p.beta, p.gamma1,
+                    p.gamma2, cls.useful, cls.node, cls.boundary,
+                    single, ent, ent - single,
+                )
+                rows.append(
+                    ",".join(x if isinstance(x, str) else cli._emit_scalar(x) for x in row)
+                )
+        return rows
+
+    ROW_CASES = [
+        # each parameter alone on an axis, every other parameter fixed so
+        # that both channels are proper mixtures (or, for a lambda axis,
+        # reach lam = 0 and lam = 1)
+        *(
+            (
+                [f"{k}={v}" for k, v in (
+                    ("lambda1", 0.3), ("lambda2", 0.6), ("phi1", 0.4), ("theta1", 2.2),
+                    ("phi2", 1.0), ("theta2", 0.2), ("phi1p", 2.0), ("theta1p", 0.4),
+                    ("phi2p", 0.9), ("theta2p", 2.6),
+                ) if k != name],
+                [f"{name}=0:1:5" if name.startswith("lambda") else f"{name}=0:{PI!r}:7"],
+            )
+            for name in cli.SWEEP_PARAMS
+        ),
+        # two axes, every parameter on one of them at least once
+        (["phi2=1.0", "theta2=0.2"], ["phi1=0:3.14159:6", "theta1=0:3.14159:6"]),
+        (["phi1=0.5", "theta1=1.7", "lambda2=0.4", "phi2p=2.2"],
+         ["phi2=0.1:3:5", "theta2=0.1:3:5"]),
+        (["phi1=0.4", "theta1=2.2", "phi1p=2.0", "theta1p=0.4", "phi2=1.0",
+          "theta2=0.2", "phi2p=0.9", "theta2p=2.6"],
+         ["lambda1=0:1:5", "lambda2=0:1:5"]),
+        (["lambda1=0.3", "phi1=0.4", "theta1=2.2", "lambda2=0.5", "phi2=1.0"],
+         ["phi1p=0:3:4", "theta1p=0:3:4"]),
+        (["lambda2=0.7", "phi2=1.0", "theta2=0.2"], ["phi2p=0:3:4", "theta2p=0:3:4"]),
+        (["phi1=0.7", "theta1=2.1", "phi2=1.3", "theta2=0.5", "phi2p=2.5"],
+         ["lambda1=0:1:5", "theta2p=0:3.14159:6"]),
+        # primed components equal to the unprimed ones: channel 1 is
+        # extremal whatever lambda1 is, and at phi1p = 0.7 (the middle
+        # point of 0:1.4:3) it is again
+        (["phi1=0.7", "theta1=1.1", "phi1p=0.7", "theta1p=1.1", "phi2=0.3",
+          "theta2=2.0"], ["lambda1=0:1:5"]),
+        (["phi1=0.7", "theta1=1.1", "theta1p=1.1", "lambda1=0.4", "phi2=0.3"],
+         ["phi1p=0:1.4:3", "lambda2=0:1:3"]),
+        # quasi-extreme diagonal against a quasi-extreme channel 2: T1
+        # there; a mixture of two equal quasi-extreme components, a point
+        # map at every lambda1; and quasi-extreme components reached at
+        # lambda = 0 or 1
+        (["phi2=0.7", "theta2=0.7"], ["phi1=0.1:3.0:8", "theta1=0.1:3.0:8"]),
+        (["phi1=0.8", "theta1=0.8", "phi1p=0.8", "theta1p=0.8", "phi2=1.3",
+          "theta2=1.3"], ["lambda1=0:1:5"]),
+        (["phi1=0.4", "theta1=0.4", "phi1p=0.9", "theta1p=0.9", "phi2=1.2",
+          "theta2=1.2", "phi2p=0.3", "theta2p=2.2"],
+         ["lambda1=0:1:3", "lambda2=0:1:3"]),
+    ]
+
+    @pytest.mark.parametrize("fix, grid", ROW_CASES)
+    def test_rows_match_classify_pair(self, tmp_path, capsys, fix, grid):
+        out_path = tmp_path / "s.csv"
+        argv = [a for spec in grid for a in ("--grid", spec)]
+        code, _, _ = run_cli(capsys, "sweep", *fix, *argv, "--out", str(out_path))
+        assert code == 0
+        lines = out_path.read_text().split("\n")
+        assert lines[0] == cli.CSV_HEADER and lines[-1] == ""
+        assert lines[1:-1] == self.reference_rows(fix, grid)
+
+    def test_row_cases_reach_every_path(self):
+        axes = [spec.split("=")[0] for _, grid in self.ROW_CASES for spec in grid]
+        two_axes = {name for _, grid in self.ROW_CASES if len(grid) == 2
+                    for name in (spec.split("=")[0] for spec in grid)}
+        assert set(axes) == set(two_axes) == set(cli.SWEEP_PARAMS)
+        nodes = {
+            row.split(",")[7]
+            for fix, grid in self.ROW_CASES
+            for row in self.reference_rows(fix, grid)
+        }
+        assert "T1" in nodes and len(nodes) >= 6
+
+    # Digests of the README region map and of a mixture map on its grid,
+    # taken from a sweep that built channel objects per cell.  They hold
+    # on a platform whose libm rounds cos and sin as x86-64 glibc does.
+    @pytest.mark.parametrize(
+        "fix, digest",
+        [
+            (["phi2=1.0", "theta2=0.2"],
+             "771254657f993340c1a60b20e9d140f0f53f0dd74c436890c528f06b0ba57486"),
+            (["phi2=1.0", "theta2=0.2", "lambda1=0.3", "phi1p=2.0", "theta1p=0.4"],
+             "bc7b7b59e70474f8bdfc18d84587619867605e7fbf1373d988698ed84ef8d1da"),
+        ],
+    )
+    def test_readme_grid_golden(self, tmp_path, capsys, fix, digest):
+        out_path = tmp_path / "region.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", *fix,
+            "--grid", "phi1=0:3.14159:41", "--grid", "theta1=0:3.14159:41",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    def test_cell_builds_no_channel(self, tmp_path, capsys, monkeypatch):
+        built = {"extremal": 0, "mixture": 0}
+        angles = []
+
+        def counting(kind, cls):
+            post_init = cls.__post_init__
+
+            def wrapper(self):
+                built[kind] += 1
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", wrapper)
+
+        counting("extremal", channels.ExtremalChannel)
+        counting("mixture", channels.QubitChannel)
+        cos_sin = discrim.cos_sin
+
+        def recording(x):
+            angles.append(x)
+            return cos_sin(x)
+
+        monkeypatch.setattr(discrim, "cos_sin", recording)
+        code, _, _ = run_cli(
+            capsys, "sweep", "phi2=1.0", "theta2=0.2", "lambda1=0.3",
+            "phi1p=2.0", "theta1p=0.4",
+            "--grid", "phi1=0.2:3.0:9", "--grid", "theta1=0.1:2.9:9",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        # corner validation alone: 4 corners x 2 channels x 2 components
+        assert built == {"extremal": 16, "mixture": 8}
+        # one trig pass per distinct angle: the axis values and the fixed
+        # phi2, theta2, phi1p, theta1p and phi2p = theta2p = 0
+        phi1 = [0.2 + (3.0 - 0.2) * i / 8 for i in range(9)]
+        theta1 = [0.1 + (2.9 - 0.1) * i / 8 for i in range(9)]
+        assert len(angles) == len(set(angles))
+        assert set(angles) == {*phi1, *theta1, 1.0, 0.2, 2.0, 0.4, 0.0}
 
 
 class TestVerify:

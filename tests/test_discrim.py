@@ -782,6 +782,26 @@ class TestClassify:
         c2 = QubitChannel.extremal(0.7, 0.7)
         assert discrim.classify_pair(c1, c2).node != "T1"
 
+    @pytest.mark.parametrize(
+        "c1, t1",
+        [
+            # equal (not identical) quasi-extreme components: extremal at any lam
+            (QubitChannel(0.4, ExtremalChannel(0.8, 0.8), ExtremalChannel(0.8, 0.8)), True),
+            (QubitChannel(0.0, ExtremalChannel(0.3, 2.0), ExtremalChannel(1.1, 1.1)), True),
+            (QubitChannel(1.0, ExtremalChannel(1.1, 1.1), ExtremalChannel(0.3, 2.0)), True),
+            (ExtremalChannel(2.0, math.pi - 2.0), True),
+            # the point map is the component that is not quasi-extreme
+            (QubitChannel(0.0, ExtremalChannel(1.1, 1.1), ExtremalChannel(0.3, 2.0)), False),
+            (QubitChannel(1.0, ExtremalChannel(0.3, 2.0), ExtremalChannel(1.1, 1.1)), False),
+            # a proper mixture of two quasi-extreme components
+            (QubitChannel(0.5, ExtremalChannel(1.1, 1.1), ExtremalChannel(0.6, 0.6)), False),
+        ],
+    )
+    def test_point_map_rule(self, c1, t1):
+        c2 = QubitChannel.extremal(1.3, 1.3)
+        assert (discrim.classify_pair(c1, c2).node == "T1") is t1
+        assert (discrim.classify_pair(c2, c1).node == "T1") is t1
+
     def test_symmetric_middle_regime_useful(self):
         cls = discrim.classify(DiscrimParams(0.25, 0.25, 0.5, 0.1))
         assert cls.useful
