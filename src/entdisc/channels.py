@@ -34,7 +34,9 @@ caller makes one complex array of them.  :func:`kraus_of` and
 first drops the operators whose entries are all within 1e-15 of zero, in
 plain Python.  A Kraus set is built for every superoperator, and a numpy
 call per operator would cost more than its arithmetic.
-:func:`superoperator` is the one way a channel acts on a state.
+:func:`superoperator` is the one way a channel acts on a state, and
+:func:`extend_superoperator` the one way its action on one qubit of a pair
+is built: by copying the entries of the qubit superoperator.
 """
 
 from __future__ import annotations
@@ -185,17 +187,35 @@ def superoperator(c: QubitChannel, extended: bool = False) -> np.ndarray:
     """Matrix of rho -> sum_k K_k rho K_k^dag on the row-major vec(rho).
 
     With ``extended`` the matrix is that of id (x) channel on two-qubit
-    states: each Kraus operator becomes kron(I, K_k), the identity acting on
-    the left (reference) qubit in the basis order |00>, |01>, |10>, |11>.
+    states, expanded from the qubit one by :func:`extend_superoperator`.
     """
     import numpy as np
 
     ops = kraus_operators(c)
-    if extended:  # kron(I, K) for every K
-        ops = np.einsum("ij,kab->kiajb", np.eye(2), ops).reshape(-1, 4, 4)
-    dim = ops.shape[1]
     # sum_k kron(K_k, conj(K_k)): row (a, c), column (b, d)
-    return np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(dim * dim, dim * dim)
+    smat = np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(4, 4)
+    return extend_superoperator(smat) if extended else smat
+
+
+def extend_superoperator(smat: np.ndarray) -> np.ndarray:
+    """The 16 x 16 matrix of id (x) N on two-qubit states, from the 4 x 4
+    superoperator ``smat`` of N (or a stack of them, one per leading index).
+
+    The identity acts on the left (reference) qubit in the basis order
+    |00>, |01>, |10>, |11>: id (x) N maps |a i><b j| to
+    |a><b| (x) N(|i><j|), so the matrix holds a copy of ``smat`` for each
+    (a, b) and zeros elsewhere, and building it only copies entries.
+    """
+    import numpy as np
+
+    lead = smat.shape[:-2]
+    blocks = smat.reshape(*lead, 2, 2, 2, 2)
+    # row (a, i, b, j), column (c, k, d, l), nonzero only for c = a, d = b
+    out = np.zeros((*lead, 2, 2, 2, 2, 2, 2, 2, 2), dtype=smat.dtype)
+    for a in (0, 1):
+        for b in (0, 1):
+            out[..., a, :, b, :, a, :, b, :] = blocks
+    return out.reshape(*lead, 16, 16)
 
 
 def _apply(smat: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -4,9 +4,11 @@ These are the engines behind ``entdisc verify`` and the acceptance tests.
 Each check draws reproducible samples from a PCG64 stream, runs the
 relevant comparison, and returns a plain report dict with the worst
 deviation and the full inputs of any failing sample.  A check draws all
-its pairs first and then runs their Bloch and restricted oracle searches
-as the rows of one see-saw each; its report gives their step counts and
-the number of rows stopped at the step cap (``seesaw_steps``).
+its pairs first and then runs the Bloch and restricted oracle searches it
+needs for them as the rows of a single see-saw; its report gives their
+step counts and the number of rows stopped at the step cap
+(``seesaw_steps``).  Only lemma2's full searches, and a tree check's
+escalations, run see-saws of their own.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def check_lemma1(
     """Closed-form single-qubit maximum vs Bloch-sphere brute force."""
     _require_samples(samples)
     pairs = _draw_pairs(samples, _rng(seed), sample_extremal)
-    brutes = oracle._bloch_rows(oracle._superops(pairs, extended=False), cfg)
+    brutes = oracle._grid_searches(oracle._superops(pairs), cfg, restricted=False)[0]
     max_dev = 0.0
     failures = []
     for (c1, c2), brute in zip(pairs, brutes):
@@ -114,8 +116,7 @@ def check_lemma2(
     (``full_seesaw_steps``), which each run as a batch of their own."""
     _require_samples(samples)
     pairs = _draw_pairs(samples, _rng(seed), sample_extremal)
-    lmats = oracle._superops(pairs, extended=True)
-    restricted_all = oracle._restricted_rows(lmats, cfg)
+    restricted_all = oracle._grid_searches(oracle._superops(pairs), cfg, bloch=False)[0]
     max_dev = 0.0
     max_excess = -math.inf
     unconverged = 0

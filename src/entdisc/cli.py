@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import math
 import operator
@@ -342,11 +343,27 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _trials_fit(trials: int):
+    """Turn a simulation's failure to allocate its draws into a message."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(
+            f"--trials {trials} is too large: its draws do not fit in memory"
+        ) from None
+
+
 def cmd_verify(args) -> int:
     from . import checks, oracle
 
-    if args.trials is not None and args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    if args.trials is not None:
+        if args.mode != "montecarlo":
+            raise ValueError(
+                f"--trials applies to --mode montecarlo only, not {args.mode!r}"
+            )
+        if args.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {args.trials}")
     cfg = oracle.SearchConfig(grid_points=96, multistarts=16, rng_seed=args.seed)
     if args.mode == "lemma1":
         report = checks.check_lemma1(args.samples, args.seed, cfg)
@@ -356,7 +373,8 @@ def cmd_verify(args) -> int:
         report = checks.check_tree(args.samples, args.seed, cfg)
     elif args.mode == "montecarlo":
         trials = 10**6 if args.trials is None else args.trials
-        report = checks.check_montecarlo(trials, args.seed, cfg)
+        with _trials_fit(trials):
+            report = checks.check_montecarlo(trials, args.seed, cfg)
     else:
         raise ValueError(f"unknown verify mode {args.mode!r}")
     rec = _base_record("verify", seed=args.seed)
@@ -388,7 +406,8 @@ def cmd_simulate(args) -> int:
     distance = smallmat.trace_norm(delta)
     meas = oracle.helstrom(delta)
     theoretical = discrim.success_probability(distance)
-    empirical = oracle.simulate(c1, c2, probe, meas, args.trials, args.seed)
+    with _trials_fit(args.trials):
+        empirical = oracle.simulate(c1, c2, probe, meas, args.trials, args.seed)
     sigma = 0.5 / math.sqrt(args.trials)
     rec = _base_record("simulate", seed=args.seed)
     rec["inputs"] = {

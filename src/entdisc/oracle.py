@@ -13,9 +13,12 @@ The Bloch grid keeps its points as four rows of coordinates (1, x, y, z),
 so each Pauli coordinate of a pair's outputs is one contiguous row.
 
 The three searches share one maximizer, :func:`_seesaw`, whose rows each
-carry their own superoperator: a check runs the Bloch (or restricted)
-searches of all its pairs as the rows of one see-saw
-(:func:`brute_max_many`), and a one-pair search is a one-row call.  By the
+carry their own superoperator and their own probe basis.  A check runs the
+Bloch and restricted searches of all its pairs as the rows of one see-saw
+(:func:`brute_max_many`), and a one-pair search is a one-row call.  Both
+grid searches run on the pair's extended superoperator id (x) Delta,
+expanded from its qubit one (:func:`channels.extend_superoperator`), so
+every row of that see-saw has a 4x4 D-step and a 2x2 M-step.  By the
 Helstrom/diamond-norm duality (Watrous, arXiv:1207.5726) the largest
 ||Delta(psi psi^dag)||_1 is the largest <psi| Delta^dag(O) |psi> over
 probes psi and observables -1 <= O <= 1, and for a fixed psi the best O is
@@ -28,7 +31,10 @@ lowers the value, so every row stays monotone and fixed points stay
 fixed.  The searches differ only in the probe subspace and the starts:
 
 * Bloch: all of C^2, from the best point of a (polar, azimuth) grid, its
-  trace norms read off the affine Bloch picture (:func:`_bloch_values`);
+  trace norms read off the affine Bloch picture of the qubit
+  superoperator (:func:`_bloch_values`).  Its see-saw runs on the product
+  probes |0> (x) psi in the basis {|00>, |01>}: (id (x) Delta)(|0><0| (x)
+  psi psi^dag) = |0><0| (x) Delta(psi psi^dag), with the same trace norm;
 * restricted: span{|00>, |11>}, from the best interior point of a grid
   over the Schmidt weight t of sqrt(1 - t)|00> + sqrt(t)|11>.  A relative
   phase on |11> is undone exactly by diag(1, e^{-i eta}) on the reference
@@ -165,10 +171,11 @@ class Measurement:
 
 
 def _delta_superop(c1, c2, extended: bool) -> np.ndarray:
-    return channels.superoperator(c1, extended) - channels.superoperator(c2, extended)
+    lmat = channels.superoperator(c1) - channels.superoperator(c2)
+    return channels.extend_superoperator(lmat) if extended else lmat
 
 
-def _superops(pairs, extended: bool) -> np.ndarray:
+def _superops(pairs, extended: bool = False) -> np.ndarray:
     """The difference superoperators of channel pairs, stacked one per row."""
     return np.stack([_delta_superop(c1, c2, extended) for c1, c2 in pairs])
 
@@ -239,12 +246,14 @@ def _extrapolated(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol):
     """Lockstep Helstrom see-saw from every row of ``states``.
 
-    Row i runs on the superoperator ``lmats[i]`` (rows x d^2 x d^2); a
-    single d^2 x d^2 ``lmats`` is shared by every row.  A step takes the
-    Helstrom observable O = sign(D) of D = Delta(psi psi^dag) from an
-    ``eigh`` and moves psi to the top eigenvector of M = Delta^dag(O)
-    compressed to the columns of ``basis``; as ||D||_1 = <psi|M|psi>, no step
-    lowers it.
+    Row i runs on the superoperator ``lmats[i]`` (rows x d^2 x d^2) and
+    searches the span of the columns of ``basis[i]`` (rows x d x k); a
+    single d^2 x d^2 ``lmats`` or d x k ``basis`` is shared by every row.
+    Every row of a call has the same d and k, so the rows of different
+    searches run as one batch.  A step takes the Helstrom observable
+    O = sign(D) of D = Delta(psi psi^dag) from an ``eigh`` and moves psi to
+    the top eigenvector of M = Delta^dag(O) compressed to the row's basis;
+    as ||D||_1 = <psi|M|psi>, no step lowers it.
 
     Near a maximum the steps often shrink only geometrically: on a
     restricted row whose maximum is a product probe, 1 - t falls by about 5%
@@ -262,15 +271,16 @@ def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol
     their states, the steps each row ran and the indices of the rows
     stopped at the cap.
     """
-    dim, k = basis.shape
+    dim, k = basis.shape[-2:]
     # probes in the basis: vec(B X B^T) = (B (x) B) vec(X), and
     # vec(B^T M B) = forward^dag vec(O) for vec(M) = L^dag vec(O)
-    forward = lmats @ np.kron(basis, basis)
+    kron = basis[..., :, None, :, None] * basis[..., None, :, None, :]
+    forward = lmats @ kron.reshape(*basis.shape[:-2], dim * dim, k * k)
     adjoint = np.swapaxes(forward, -1, -2).conj()
     w, v = np.linalg.eigh(_delta_batch(lmats, states))
     start = np.sum(np.abs(w), axis=1)
     best = start.copy()
-    coords = states @ basis
+    coords = (states[:, None, :] @ basis)[:, 0]
     # the running rows' last two iterates; a row is ``fresh`` while its
     # window, restarted at its start or at an extrapolation, holds fewer
     # than three
@@ -306,20 +316,9 @@ def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol
             before, last, fresh = before[keep], last[keep], fresh[keep]
             if forward.ndim == 3:
                 forward, adjoint = forward[keep], adjoint[keep]
-    psi = np.where((best > start)[:, None], coords @ basis.T, states)
+    found = (basis @ coords[:, :, None])[:, :, 0]
+    psi = np.where((best > start)[:, None], found, states)
     return best, psi, steps, running
-
-
-def _grid_seesaw(lmats, starts, top_values, top_states, basis, refine_tol: float):
-    """See-saw from each row of ``starts``; a row's best grid point wins if
-    higher.  Returns the values, their states, the steps each row ran and
-    whether it converged."""
-    best, psi, steps, capped = _seesaw(lmats, starts, basis, refine_tol)
-    grid_wins = top_values > best
-    best[grid_wins], psi[grid_wins] = top_values[grid_wins], top_states[grid_wins]
-    converged = np.ones(len(best), dtype=bool)
-    converged[capped] = False
-    return best, psi, steps, converged
 
 
 def _bloch_states(params: np.ndarray) -> np.ndarray:
@@ -373,12 +372,14 @@ def _bloch_values(lmat: np.ndarray, r: np.ndarray) -> np.ndarray:
     return 2.0 * np.maximum(np.abs(c0), np.sqrt(x * x + y * y + z * z))
 
 
-def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResult]:
-    """Bloch search for each row of ``lmats`` (qubit superoperators).
+def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig):
+    """The Bloch rows of a see-saw, one per qubit superoperator of ``lmats``.
 
-    The uniform (polar, azimuth) grid with cfg.grid_points per axis, one
-    row at a time, then one see-saw over all of C^2 from every row's best
-    grid point.  arg is the weight on |1> of the winning probe.
+    Each row starts at the best point of the uniform (polar, azimuth) grid
+    with cfg.grid_points per axis, read off the affine picture one row at
+    a time, as the product probe |0> (x) psi, which the see-saw moves in
+    the basis {|00>, |01>}.  Returns the starts, the best grid values and
+    their states (the starts).
 
     A row's grid values take 4 n^2 floats at most; evaluating all rows in
     one array would hold rows x 4 n^2 at once for no measured gain, so the
@@ -390,14 +391,9 @@ def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResult]:
         values = _bloch_values(lmat, r)
         tops.append(int(np.argmax(values)))
         top_values.append(values[tops[-1]])
-    starts = _bloch_states(params[tops])
-    best, psi, steps, converged = _grid_seesaw(
-        lmats, starts, np.array(top_values), starts, np.eye(2), cfg.refine_tol
-    )
-    return [
-        DistanceResult(float(b), float(abs(p[1]) ** 2), "bloch-grid", bool(c), int(s))
-        for b, p, c, s in zip(best, psi, converged, steps)
-    ]
+    starts = np.zeros((len(tops), 4), dtype=complex)
+    starts[:, :2] = _bloch_states(params[tops])
+    return starts, np.array(top_values), starts
 
 
 def _schmidt_states(params: np.ndarray) -> np.ndarray:
@@ -409,31 +405,69 @@ def _schmidt_states(params: np.ndarray) -> np.ndarray:
     return states
 
 
-def _restricted_rows(lmats: np.ndarray, cfg: SearchConfig) -> list[DistanceResult]:
-    """Restricted search for each row of ``lmats`` (two-qubit superoperators).
-
-    A grid over the Schmidt weight t, one row at a time, then one see-saw
-    on span{|00>, |11>} from every row's best interior grid point.  A
+def _restricted_rows(ext: np.ndarray, cfg: SearchConfig):
+    """The restricted rows of a see-saw, one per extended superoperator of
+    ``ext``: each searches span{|00>, |11>} from the best interior point of
+    a grid over the Schmidt weight t, evaluated one row at a time.  A
     product probe (t = 0 or 1) is a fixed point of the see-saw, so each row
-    starts inside and keeps its best grid value when that is higher.  arg
-    is the weight t on |11>.
+    starts inside and keeps its best grid value when that is higher.
+    Returns the starts, the best grid values and their states.
     """
     states = _schmidt_states(np.linspace(0.0, 1.0, cfg.grid_points)[:, None])
     starts, tops, top_values = [], [], []
-    for lmat in lmats:
+    for lmat in ext:
         values = _tracenorm4_batch(_delta_batch(lmat, states))
         starts.append(1 + int(np.argmax(values[1:-1])))
         tops.append(int(np.argmax(values)))
         top_values.append(values[tops[-1]])
-    best, psi, steps, converged = _grid_seesaw(
-        lmats, states[starts], np.array(top_values), states[tops],
-        np.eye(4)[:, [0, 3]], cfg.refine_tol,
+    return states[starts], np.array(top_values), states[tops]
+
+
+_BLOCH_BASIS = np.eye(4)[:, [0, 1]]  # |00>, |01>: the probes |0> (x) psi
+_SCHMIDT_BASIS = np.eye(4)[:, [0, 3]]  # |00>, |11>
+
+
+def _grid_searches(
+    lmats: np.ndarray, cfg: SearchConfig, bloch: bool = True, restricted: bool = True
+) -> list[list[DistanceResult]]:
+    """The Bloch and/or restricted search for each row of ``lmats`` (qubit
+    difference superoperators), all as the rows of one see-saw.
+
+    Every row runs on its pair's extended superoperator, expanded from the
+    qubit one (:func:`channels.extend_superoperator`), in its search's
+    basis, so each has a 4x4 D-step and a 2x2 M-step.  A row's best grid
+    point wins when it is higher than the see-saw's value.  Rows never mix,
+    so a result does not depend on the other rows or searches.  Returns one
+    list of results per search run, the Bloch one first.  The Bloch arg is
+    the weight on |1> of psi, the restricted arg the Schmidt weight t.
+    """
+    ext = channels.extend_superoperator(lmats)
+    searches = []
+    if bloch:
+        searches.append((_bloch_rows(lmats, cfg), _BLOCH_BASIS, 1, "bloch-grid"))
+    if restricted:
+        searches.append((_restricted_rows(ext, cfg), _SCHMIDT_BASIS, 3, "restricted"))
+    starts, top_values, top_states = (
+        np.concatenate(part) for part in zip(*(rows for rows, *_ in searches))
     )
-    return [
-        DistanceResult(float(b), min(float(abs(p[3]) ** 2), 1.0), "restricted",
-                       bool(c), int(s))
-        for b, p, c, s in zip(best, psi, converged, steps)
-    ]
+    n = len(lmats)
+    basis = np.concatenate([np.broadcast_to(b, (n, 4, 2)) for _, b, *_ in searches])
+    best, psi, steps, capped = _seesaw(
+        np.concatenate([ext] * len(searches)), starts, basis, cfg.refine_tol
+    )
+    grid_wins = top_values > best
+    best[grid_wins], psi[grid_wins] = top_values[grid_wins], top_states[grid_wins]
+    converged = np.ones(len(best), dtype=bool)
+    converged[capped] = False
+    results = []
+    for j, (_, _, amp, branch) in enumerate(searches):
+        part = slice(j * n, (j + 1) * n)
+        results.append([
+            DistanceResult(float(b), min(float(abs(p[amp]) ** 2), 1.0), branch,
+                           bool(c), int(s))
+            for b, p, c, s in zip(best[part], psi[part], converged[part], steps[part])
+        ])
+    return results
 
 
 def _pair_states(params: np.ndarray) -> np.ndarray:
@@ -475,7 +509,7 @@ def brute_max_single(c1, c2, cfg: SearchConfig = DEFAULT_CONFIG) -> DistanceResu
     see-saw over all of C^2 from the best grid point.  arg is the weight
     on |1> of the winning probe.
     """
-    return _bloch_rows(_superops([(c1, c2)], extended=False), cfg)[0]
+    return _grid_searches(_superops([(c1, c2)]), cfg, restricted=False)[0][0]
 
 
 def brute_max_entangled(
@@ -490,7 +524,7 @@ def brute_max_entangled(
     pure two-qubit state by seeded multistart ascent over the pair chart.
     """
     if mode == "restricted":
-        return _restricted_rows(_superops([(c1, c2)], extended=True), cfg)[0]
+        return _grid_searches(_superops([(c1, c2)]), cfg, bloch=False)[0][0]
     if mode == "full":
         return _full_engine(c1, c2, cfg)
     raise ValueError(f"mode must be 'restricted' or 'full', got {mode!r}")
@@ -501,23 +535,22 @@ def brute_max_many(
 ) -> list[tuple[DistanceResult, DistanceResult]]:
     """``(brute_max_single, restricted brute_max_entangled)`` for every pair.
 
-    Each search is one row of a see-saw over all the pairs: one for the
-    Bloch searches, one for the restricted ones.  Rows never mix, so every
+    Each search is one row of a single see-saw over all the pairs: the
+    first n rows are the Bloch searches, the last n the restricted ones,
+    all on the pairs' extended superoperators.  Rows never mix, so every
     result equals its one-pair call.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    single = _bloch_rows(_superops(pairs, extended=False), cfg)
-    restricted = _restricted_rows(_superops(pairs, extended=True), cfg)
-    return list(zip(single, restricted))
+    return list(zip(*_grid_searches(_superops(pairs), cfg)))
 
 
 def optimal_entangled_probe(
     c1, c2, cfg: SearchConfig = DEFAULT_CONFIG
 ) -> tuple[PureState4, DistanceResult]:
     """Best probe from the restricted search, with its achieved distance."""
-    result = _restricted_rows(_superops([(c1, c2)], extended=True), cfg)[0]
+    result = _grid_searches(_superops([(c1, c2)]), cfg, bloch=False)[0][0]
     t = result.arg
     return PureState4.schmidt(math.sqrt(1.0 - t), math.sqrt(t)), result
 

@@ -259,6 +259,33 @@ class TestSuperoperator:
                 out = (smat @ x.reshape(-1)).reshape(dim, dim)
                 assert np.max(np.abs(out - expected)) < 1e-12
 
+    def test_extended_is_the_expanded_qubit_superoperator(self):
+        # bit for bit the sum over kron(I, K) (x) conj kron(I, K), on
+        # channels whose zero Kraus operators are dropped too
+        rng = np.random.default_rng(27)
+        chans = [channels.parse_channel(text) for text in (
+            "identity", "ad(0)", "ad(1)", "pauli(0.3,0.4,1.1)"
+        )]
+        for _ in range(20):
+            e1 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
+            e2 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
+            chans += [QubitChannel.extremal(e1.phi, e1.theta),
+                      QubitChannel.mixture(float(rng.uniform(0, 1)), e1, e2)]
+        smats = []
+        for c in chans:
+            ops = channels.kraus_operators(c)
+            kron = np.array([np.kron(np.eye(2), op) for op in ops])
+            reference = np.einsum("kab,kcd->acbd", kron, kron.conj()).reshape(16, 16)
+            smat = channels.superoperator(c)
+            expanded = channels.extend_superoperator(smat)
+            assert expanded.tobytes() == reference.tobytes()
+            extended = channels.superoperator(c, extended=True)
+            assert extended.tobytes() == reference.tobytes()
+            smats.append(smat)
+        stacked = channels.extend_superoperator(np.array(smats))
+        for smat, row in zip(smats, stacked):
+            assert row.tobytes() == channels.extend_superoperator(smat).tobytes()
+
     def test_extended_identity_on_reference_qubit(self):
         # id (x) X-flip: the channel acts on the right qubit of |ab>
         flip = QubitChannel.extremal(math.pi / 2, math.pi / 2)

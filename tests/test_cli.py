@@ -470,6 +470,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "trials" in err
 
+    def test_trials_outside_montecarlo_rejected(self, capsys, monkeypatch):
+        # the option used to be ignored, and the run exited 0
+        def no_work(*args):
+            raise AssertionError("verify ran a check")
+
+        monkeypatch.setattr(checks, "check_tree", no_work)
+        code, out, err = run_cli(
+            capsys, "verify", "--mode", "tree", "--samples", "2", "--trials", "5"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--trials" in err and "montecarlo" in err
+
     def test_negative_seed_rejected(self, capsys, monkeypatch):
         # numpy's PCG64 used to reject it with a message naming nothing
         def no_work(*args):
@@ -515,6 +528,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert json.loads(out)["report"]["passed"] is False
+
+
+class TestTrialsTooLarge:
+    # the draws of 10^13 trials need 72.8 TiB; numpy's MemoryError used to
+    # end the run in a traceback.  The allocation is not attempted here.
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "identity", "ad(1)", "--optimal", "--trials", str(10**13)],
+        ["verify", "--mode", "montecarlo", "--trials", str(10**13)],
+    ])
+    def test_exits_1_naming_trials(self, capsys, monkeypatch, argv):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(oracle, "simulate", no_memory)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"--trials {10**13}" in err
 
 
 class TestSimulate:

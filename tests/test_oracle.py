@@ -477,6 +477,58 @@ class TestBatchedEngine:
             assert restricted == oracle.brute_max_entangled(c1, c2, self.CFG)
         assert oracle.brute_max_many([], self.CFG) == []
 
+    @pytest.fixture
+    def seesaw_rows(self, monkeypatch):
+        """The row count of every _seesaw call, in call order."""
+        calls = []
+        seesaw = oracle._seesaw
+
+        def counting(lmats, states, basis, refine_tol):
+            calls.append(len(states))
+            return seesaw(lmats, states, basis, refine_tol)
+
+        monkeypatch.setattr(oracle, "_seesaw", counting)
+        return calls
+
+    def test_one_seesaw_per_check(self, seesaw_rows):
+        # seed 3 escalates no pair to the full search
+        rep = checks.check_tree(8, 3, self.CFG)
+        assert seesaw_rows == [2 * rep["retained"]]
+        seesaw_rows.clear()
+        checks.check_quasi_extreme(6, 3, self.CFG)
+        assert seesaw_rows == [12]
+        seesaw_rows.clear()
+        checks.check_lemma1(6, 3, self.CFG)
+        assert seesaw_rows == [6]
+
+    def test_many_builds_only_qubit_superoperators(self, monkeypatch):
+        built = []
+        superoperator = channels.superoperator
+
+        def counting(c, extended=False):
+            built.append(extended)
+            return superoperator(c, extended)
+
+        monkeypatch.setattr(channels, "superoperator", counting)
+        oracle.brute_max_many(self.pairs(67, 9), self.CFG)
+        assert built == [False] * 18
+
+    def test_values_match_closed_forms_at_verify_budget(self):
+        # the product-probe Bloch rows lose no precision against the qubit
+        # outputs: every value within 1e-14 of the closed form
+        rng = checks._rng(11)
+        pairs = [
+            (checks.sample_extremal(rng), checks.sample_extremal(rng))
+            for _ in range(150)
+        ] + [(checks.sample_mixture(rng), checks.sample_mixture(rng)) for _ in range(150)]
+        worst_single = worst_entangled = 0.0
+        for (c1, c2), (single, ent) in zip(pairs, oracle.brute_max_many(pairs, self.CFG)):
+            params = discrim.compute_params(c1, c2)
+            worst_single = max(worst_single, abs(single.value - params.single.value))
+            worst_entangled = max(worst_entangled, abs(ent.value - params.entangled.value))
+        assert worst_single < 1e-14
+        assert worst_entangled < 1e-14
+
     def test_capped_row_leaves_the_other_rows_alone(self, monkeypatch):
         c = QubitChannel.extremal(0.9, 0.4)
         slow = TestConvergence.lemma2_pairs(3)[2]
