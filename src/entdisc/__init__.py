@@ -7,11 +7,13 @@ to the probe improve the best achievable success probability?  It provides
 * ``smallmat``  -- Hermiticity checks, eigenvalues and trace norms of 2x2/4x4
   matrices,
 * ``channels``  -- the two-angle channel parametrization, convex mixtures,
-  Kraus/superoperator/affine pictures and Choi matrices,
+  Kraus/superoperator/affine pictures and Choi matrices; the superoperator
+  is the one way a channel acts,
 * ``discrim``   -- discrimination parameters, closed-form trace-distance
   maxima, and the usefulness decision tree,
-* ``oracle``    -- brute-force probe-state search, Helstrom measurements and
-  seeded Monte-Carlo discrimination experiments,
+* ``oracle``    -- brute-force probe-state search, Helstrom measurements,
+  and the seeded Monte-Carlo discrimination experiment on a qubit or pair
+  probe (``simulate``),
 * ``checks``    -- the seeded sweeps that compare the closed forms with the
   oracle,
 * ``cli``       -- the ``entdisc`` command-line tool.

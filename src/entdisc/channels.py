@@ -8,9 +8,8 @@ angles (phi, theta) in [0, pi] through the Kraus pair
 
 and a general channel in the simultaneously diagonalizable family is a
 convex mixture of two such maps.  This module builds those objects and
-their Kraus sets and Choi matrices, applies them to one- and two-qubit
-states, exposes the affine Bloch-ball picture, and parses the channel
-literal syntax used by the CLI:
+their Kraus sets, superoperators and Choi matrices, exposes the affine
+Bloch-ball picture, and parses the channel literal syntax used by the CLI:
 
     identity
     ad(phi)
@@ -21,11 +20,10 @@ literal syntax used by the CLI:
 with all angles in radians.
 
 The parameters, literals and affine picture need only ``math``.  The
-matrix pictures (Kraus sets, superoperators, channel action, Choi
-matrices) import numpy and :mod:`smallmat` when first called, so the
-closed-form path through :mod:`discrim` never loads numpy.  They stay
-defined in this module, where callers and tools that look a channel
-function up by module attribute find them.
+matrix pictures (Kraus sets, superoperators, Choi matrices) import numpy
+when first called, so the closed-form path through :mod:`discrim` never
+loads numpy.  They stay defined in this module, where callers and tools
+that look a channel function up by module attribute find them.
 
 Every Kraus set is built by one function, :func:`_scaled_kraus`: it
 writes the entries of the weighted operators as Python floats, and the
@@ -36,7 +34,9 @@ plain Python.  A Kraus set is built for every superoperator, and a numpy
 call per operator would cost more than its arithmetic.
 :func:`superoperator` is the one way a channel acts on a state, and
 :func:`extend_superoperator` the one way its action on one qubit of a pair
-is built: by copying the entries of the qubit superoperator.
+is built: by copying the entries of the qubit superoperator.  No function
+here applies a channel to a state; :mod:`oracle` applies stacks of these
+matrices to its probes.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-DENSITY_TOL = 1e-10
 QUASI_EXTREME_TOL = 1e-10
 
 
@@ -165,24 +164,6 @@ def kraus_operators(c: QubitChannel) -> np.ndarray:
     return _stacked([op for op in ops if max(map(abs, op)) > 1e-15])
 
 
-def check_density(rho, dim: int) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD within 1e-10."""
-    import numpy as np
-
-    from . import smallmat
-
-    rho = smallmat.check_hermitian(rho, tol=DENSITY_TOL)
-    if rho.shape[0] != dim:
-        raise ValueError(f"expected a {dim}x{dim} state, got {rho.shape[0]}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > DENSITY_TOL:
-        raise ValueError(f"state trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    evs = smallmat.hermitian_eigenvalues(rho)
-    if evs[0] < -DENSITY_TOL:
-        raise ValueError(f"state has negative eigenvalue {evs[0]:.3e}")
-    return rho
-
-
 def superoperator(c: QubitChannel, extended: bool = False) -> np.ndarray:
     """Matrix of rho -> sum_k K_k rho K_k^dag on the row-major vec(rho).
 
@@ -216,21 +197,6 @@ def extend_superoperator(smat: np.ndarray) -> np.ndarray:
         for b in (0, 1):
             out[..., a, :, b, :, a, :, b, :] = blocks
     return out.reshape(*lead, 16, 16)
-
-
-def _apply(smat: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    out = (smat @ rho.reshape(-1)).reshape(rho.shape)
-    return 0.5 * (out + out.conj().T)
-
-
-def apply(c: QubitChannel, rho) -> np.ndarray:
-    """Channel action on a single-qubit density matrix."""
-    return _apply(superoperator(c), check_density(rho, 2))
-
-
-def apply_extended(c: QubitChannel, rho4) -> np.ndarray:
-    """Action of id (x) channel on a two-qubit density matrix."""
-    return _apply(superoperator(c, extended=True), check_density(rho4, 4))
 
 
 def affine_map(c: QubitChannel) -> AffineMap:

@@ -8,7 +8,9 @@ its pairs first and then runs the Bloch and restricted oracle searches it
 needs for them as the rows of a single see-saw; its report gives their
 step counts and the number of rows stopped at the step cap
 (``seesaw_steps``).  Only lemma2's full searches, and a tree check's
-escalations, run see-saws of their own.
+escalations, run see-saws of their own.  The Monte-Carlo check runs
+:func:`oracle.simulate` on each case's best probe, the same experiment as
+``entdisc simulate``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import channels, discrim, oracle, smallmat
+from . import channels, discrim, oracle
 
 LEMMA_TOL = 1e-6
 TREE_SLACK = 1e-3
@@ -277,15 +279,13 @@ def check_montecarlo(
         cls = discrim.classify_pair(c1, c2)
         if cls.useful:
             probe, _ = oracle.optimal_entangled_probe(c1, c2, cfg)
-            delta = oracle.delta_entangled(c1, c2, probe)
         else:
             t = cls.params.single.arg
-            probe = oracle.PureState2(complex(math.sqrt(1.0 - t)), complex(math.sqrt(t)))
-            delta = oracle.delta_single(c1, c2, probe)
-        distance = smallmat.trace_norm(delta)
+            probe = oracle.PureState(
+                (complex(math.sqrt(1.0 - t)), complex(math.sqrt(t)))
+            )
+        distance, emp = oracle.simulate(c1, c2, probe, trials, seed + k)
         theo = discrim.success_probability(distance)
-        meas = oracle.helstrom(delta)
-        emp = oracle.simulate(c1, c2, probe, meas, trials, seed + k)
         sigma = math.sqrt(max(theo * (1.0 - theo), 0.0) / trials)
         if sigma == 0.0:
             z = 0.0 if emp == theo else math.inf

@@ -28,6 +28,7 @@ import contextlib
 import functools
 import math
 import operator
+import os
 import sys
 
 from . import __version__, channels, discrim
@@ -108,7 +109,9 @@ def _emit_json(obj, indent: int = 0) -> str:
 
 
 def _print_record(record: dict) -> None:
-    print(_emit_json(record))
+    # flushed now, so that a closed stdout fails inside main, which handles it,
+    # and not at exit
+    print(_emit_json(record), flush=True)
 
 
 def _base_record(command: str, seed=None) -> dict:
@@ -178,10 +181,8 @@ def _parse_probe(text: str):
     amps = [a / scale for a in amps]
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
     amps = [a / norm for a in amps]
-    if head == "qubit" and len(amps) == 2:
-        return oracle.PureState2(amps[0], amps[1])
-    if head == "pair" and len(amps) == 4:
-        return oracle.PureState4(tuple(amps))
+    if (head, len(amps)) in (("qubit", 2), ("pair", 4)):
+        return oracle.PureState(tuple(amps))
     raise channels.ChannelParseError(
         f"probe literal must be qubit(a0,a1) or pair(a00,a01,a10,a11): {text!r}"
     )
@@ -343,36 +344,51 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _trials_too_large(trials: int) -> ValueError:
+    return ValueError(f"--trials {trials} is too large: its draws do not fit in memory")
+
+
+def _check_trials(trials: int) -> None:
+    """Refuse a trial count before any work: below 1, or more draws than
+    an array can index, which numpy would refuse naming no option."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > sys.maxsize:
+        raise _trials_too_large(trials)
+
+
 @contextlib.contextmanager
 def _trials_fit(trials: int):
     """Turn a simulation's failure to allocate its draws into a message."""
     try:
         yield
     except MemoryError:
-        raise ValueError(
-            f"--trials {trials} is too large: its draws do not fit in memory"
-        ) from None
+        raise _trials_too_large(trials) from None
 
 
 def cmd_verify(args) -> int:
     from . import checks, oracle
 
-    if args.trials is not None:
-        if args.mode != "montecarlo":
+    if args.mode == "montecarlo":
+        if args.samples is not None:
             raise ValueError(
-                f"--trials applies to --mode montecarlo only, not {args.mode!r}"
+                "--samples applies to --mode lemma1, lemma2 and tree, not 'montecarlo'"
             )
-        if args.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {args.trials}")
+        trials = 10**6 if args.trials is None else args.trials
+        _check_trials(trials)
+    elif args.trials is not None:
+        raise ValueError(
+            f"--trials applies to --mode montecarlo only, not {args.mode!r}"
+        )
+    samples = 100 if args.samples is None else args.samples
     cfg = oracle.SearchConfig(grid_points=96, multistarts=16, rng_seed=args.seed)
     if args.mode == "lemma1":
-        report = checks.check_lemma1(args.samples, args.seed, cfg)
+        report = checks.check_lemma1(samples, args.seed, cfg)
     elif args.mode == "lemma2":
-        report = checks.check_lemma2(args.samples, args.seed, cfg)
+        report = checks.check_lemma2(samples, args.seed, cfg)
     elif args.mode == "tree":
-        report = checks.check_tree(args.samples, args.seed, cfg)
+        report = checks.check_tree(samples, args.seed, cfg)
     elif args.mode == "montecarlo":
-        trials = 10**6 if args.trials is None else args.trials
         with _trials_fit(trials):
             report = checks.check_montecarlo(trials, args.seed, cfg)
     else:
@@ -384,12 +400,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import oracle, smallmat
+    from . import oracle
 
     c1 = channels.parse_channel(args.channel1)
     c2 = channels.parse_channel(args.channel2)
     if args.optimal and args.probe is not None:
         raise ValueError("simulate takes a probe literal or --optimal, not both")
+    _check_trials(args.trials)
     cfg = oracle.SearchConfig(rng_seed=args.seed)
     if args.optimal:
         probe, _ = oracle.optimal_entangled_probe(c1, c2, cfg)
@@ -397,22 +414,14 @@ def cmd_simulate(args) -> int:
         probe = _parse_probe(args.probe)
     else:
         raise ValueError("simulate needs a probe literal or --optimal")
-    if isinstance(probe, oracle.PureState2):
-        delta = oracle.delta_single(c1, c2, probe)
-        probe_kind = "qubit"
-    else:
-        delta = oracle.delta_entangled(c1, c2, probe)
-        probe_kind = "pair"
-    distance = smallmat.trace_norm(delta)
-    meas = oracle.helstrom(delta)
-    theoretical = discrim.success_probability(distance)
     with _trials_fit(args.trials):
-        empirical = oracle.simulate(c1, c2, probe, meas, args.trials, args.seed)
+        distance, empirical = oracle.simulate(c1, c2, probe, args.trials, args.seed)
+    theoretical = discrim.success_probability(distance)
     sigma = 0.5 / math.sqrt(args.trials)
     rec = _base_record("simulate", seed=args.seed)
     rec["inputs"] = {
         **channels.format_pair(c1, c2),
-        "probe": probe_kind,
+        "probe": "pair" if probe.is_pair else "qubit",
         "optimal": bool(args.optimal),
         "trials": args.trials,
     }
@@ -457,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="seeded oracle-equivalence sweeps")
     p.add_argument("--mode", required=True,
                    choices=["lemma1", "lemma2", "tree", "montecarlo"])
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=None,
+                   help="samples (lemma1, lemma2 and tree modes, default 100)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=None,
                    help="Monte-Carlo trials (montecarlo mode, default 10^6)")
@@ -485,6 +495,11 @@ def main(argv=None) -> int:
         return handler(args)
     except (channels.ChannelParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to the null device, so
+        # that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_VALIDATION
 
 

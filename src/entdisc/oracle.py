@@ -48,6 +48,15 @@ fixed.  The searches differ only in the probe subspace and the starts:
 All searches are deterministic given a :class:`SearchConfig`: grids are
 uniform, the full-space search uses a seeded generator for its
 multistarts, and ties are broken toward the lowest index.
+
+Every probe meets a channel one way: as a row of :func:`_delta_batch`,
+which takes pure states through a superoperator or a stack of them.  The
+searches run their rows through it, and so do :func:`delta` and
+:func:`simulate` on a :class:`PureState`, a qubit probe or a pair probe
+(on which the channels act as id (x) N).  :func:`simulate` is the whole
+Helstrom experiment: it builds each channel's superoperator once, takes
+the output difference and both outputs as the rows of one stack, measures
+the difference's :func:`helstrom` projectors and draws the trials.
 """
 
 from __future__ import annotations
@@ -100,57 +109,30 @@ DEFAULT_CONFIG = SearchConfig()
 
 
 @dataclass(frozen=True)
-class PureState2:
-    """A qubit pure state |psi> = a0 |0> + a1 |1>."""
-
-    a0: complex
-    a1: complex
-
-    def __post_init__(self):
-        norm = abs(self.a0) ** 2 + abs(self.a1) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-
-    @classmethod
-    def from_bloch(cls, polar: float, azimuth: float) -> "PureState2":
-        return cls(
-            complex(math.cos(polar / 2.0)),
-            complex(math.cos(azimuth), math.sin(azimuth)) * math.sin(polar / 2.0),
-        )
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.a0, self.a1], dtype=complex)
-
-    def density(self) -> np.ndarray:
-        v = self.vector
-        return np.outer(v, v.conj())
-
-
-@dataclass(frozen=True)
-class PureState4:
-    """A two-qubit pure state over |00>, |01>, |10>, |11>."""
+class PureState:
+    """A pure probe state: amplitudes over |0>, |1> (a qubit probe) or over
+    |00>, |01>, |10>, |11> (a pair probe, the left qubit the reference)."""
 
     a: tuple
 
     def __post_init__(self):
-        if len(self.a) != 4:
-            raise ValueError("PureState4 needs 4 amplitudes")
+        if len(self.a) not in (2, 4):
+            raise ValueError(f"a probe needs 2 or 4 amplitudes, got {len(self.a)}")
         norm = sum(abs(x) ** 2 for x in self.a)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
     @classmethod
-    def schmidt(cls, a0: complex, a1: complex) -> "PureState4":
+    def schmidt(cls, a0: complex, a1: complex) -> "PureState":
         return cls((complex(a0), 0j, 0j, complex(a1)))
+
+    @property
+    def is_pair(self) -> bool:
+        return len(self.a) == 4
 
     @property
     def vector(self) -> np.ndarray:
         return np.array(self.a, dtype=complex)
-
-    def density(self) -> np.ndarray:
-        v = self.vector
-        return np.outer(v, v.conj())
 
 
 @dataclass(frozen=True)
@@ -159,14 +141,13 @@ class Measurement:
 
     plus_projector: np.ndarray
     minus_projector: np.ndarray
-    dim: int
 
     def __post_init__(self):
         for proj in (self.plus_projector, self.minus_projector):
             if np.max(np.abs(proj @ proj - proj)) > 1e-10:
                 raise ValueError("projector is not idempotent")
         s = self.plus_projector + self.minus_projector
-        if np.max(np.abs(s - np.eye(self.dim))) > 1e-10:
+        if np.max(np.abs(s - np.eye(len(s)))) > 1e-10:
             raise ValueError("projectors do not sum to the identity")
 
 
@@ -196,19 +177,23 @@ def _delta_batch(lmats: np.ndarray, states: np.ndarray) -> np.ndarray:
     return _apply(lmats, rhos.reshape(-1, k * k)).reshape(-1, dim, dim)
 
 
-def _delta(c1, c2, psi, extended: bool) -> np.ndarray:
-    d = _delta_batch(_delta_superop(c1, c2, extended), psi.vector[None, :])[0]
-    return 0.5 * (d + d.conj().T)
+def _outputs(c1, c2, probe: PureState) -> np.ndarray:
+    """The output difference and the two channel outputs on ``probe``, each
+    made Hermitian: the rows of one :func:`_delta_batch` over the
+    superoperators N1 - N2, N1 and N2, built once per channel and extended
+    for a pair probe."""
+    s1, s2 = channels.superoperator(c1), channels.superoperator(c2)
+    lmats = np.stack([s1 - s2, s1, s2])
+    if probe.is_pair:
+        lmats = channels.extend_superoperator(lmats)
+    d = _delta_batch(lmats, np.repeat(probe.vector[None, :], 3, axis=0))
+    return 0.5 * (d + np.swapaxes(d.conj(), 1, 2))
 
 
-def delta_single(c1, c2, psi: PureState2) -> np.ndarray:
-    """Difference of the two channel outputs on a single-qubit probe."""
-    return _delta(c1, c2, psi, extended=False)
-
-
-def delta_entangled(c1, c2, psi: PureState4) -> np.ndarray:
-    """Difference of the two extended-channel outputs on a two-qubit probe."""
-    return _delta(c1, c2, psi, extended=True)
+def delta(c1, c2, probe: PureState) -> np.ndarray:
+    """Difference of the two channel outputs on ``probe``; on a pair probe
+    the channels act as id (x) N."""
+    return _outputs(c1, c2, probe)[0]
 
 
 def _tracenorm4_batch(d: np.ndarray) -> np.ndarray:
@@ -548,11 +533,11 @@ def brute_max_many(
 
 def optimal_entangled_probe(
     c1, c2, cfg: SearchConfig = DEFAULT_CONFIG
-) -> tuple[PureState4, DistanceResult]:
+) -> tuple[PureState, DistanceResult]:
     """Best probe from the restricted search, with its achieved distance."""
     result = _grid_searches(_superops([(c1, c2)]), cfg, bloch=False)[0][0]
     t = result.arg
-    return PureState4.schmidt(math.sqrt(1.0 - t), math.sqrt(t)), result
+    return PureState.schmidt(math.sqrt(1.0 - t), math.sqrt(t)), result
 
 
 def helstrom(delta) -> Measurement:
@@ -571,38 +556,24 @@ def helstrom(delta) -> Measurement:
             plus += v @ v.conj().T
     plus = 0.5 * (plus + plus.conj().T)
     minus = np.eye(dim) - plus
-    return Measurement(plus, 0.5 * (minus + minus.conj().T), dim)
+    return Measurement(plus, 0.5 * (minus + minus.conj().T))
 
 
 def simulate(
-    c1,
-    c2,
-    probe,
-    m: Measurement,
-    trials: int,
-    rng_seed: int,
-) -> float:
-    """Empirical success frequency of the guess-on-plus strategy.
+    c1, c2, probe: PureState, trials: int, rng_seed: int
+) -> tuple[float, float]:
+    """The Helstrom experiment on ``probe``: the trace norm of its output
+    difference, and the empirical success frequency of the guess-on-plus
+    strategy with the difference's :func:`helstrom` measurement.
 
-    Each trial draws one of the two channels uniformly, applies it to the
-    probe (extended when the probe is two-qubit), samples the measurement
-    outcome, and guesses channel 1 on the plus outcome.  Deterministic
-    given rng_seed (PCG64 counter stream).
+    Each trial draws one of the two channels uniformly, samples the
+    measurement outcome on that channel's output, and guesses channel 1 on
+    the plus outcome.  Deterministic given rng_seed (PCG64 counter stream).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(probe, PureState2):
-        if m.dim != 2:
-            raise ValueError("measurement dimension does not match probe")
-        rho = probe.density()
-        outs = [channels.apply(c1, rho), channels.apply(c2, rho)]
-    elif isinstance(probe, PureState4):
-        if m.dim != 4:
-            raise ValueError("measurement dimension does not match probe")
-        rho = probe.density()
-        outs = [channels.apply_extended(c1, rho), channels.apply_extended(c2, rho)]
-    else:
-        raise ValueError("probe must be a PureState2 or a PureState4")
+    diff, *outs = _outputs(c1, c2, probe)
+    m = helstrom(diff)
     p_plus = np.array(
         [min(max(float(np.real(np.trace(out @ m.plus_projector))), 0.0), 1.0)
          for out in outs]
@@ -611,4 +582,4 @@ def simulate(
     which = rng.integers(0, 2, size=trials)
     clicks_plus = rng.random(trials) < p_plus[which]
     guesses = np.where(clicks_plus, 0, 1)
-    return float(np.mean(guesses == which))
+    return smallmat.trace_norm(diff), float(np.mean(guesses == which))

@@ -142,16 +142,17 @@ def test_criterion_7_helstrom_optimality():
         c1 = checks.sample_mixture(rng)
         c2 = checks.sample_mixture(rng)
         if k % 2 == 0:
-            probe = oracle.PureState2.from_bloch(
-                float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))
+            polar = float(rng.uniform(0, math.pi))
+            azimuth = float(rng.uniform(0, 2 * math.pi))
+            amps = (
+                complex(math.cos(polar / 2.0)),
+                complex(math.cos(azimuth), math.sin(azimuth)) * math.sin(polar / 2.0),
             )
-            delta = oracle.delta_single(c1, c2, probe)
         else:
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             v /= np.linalg.norm(v)
-            delta = oracle.delta_entangled(
-                c1, c2, oracle.PureState4(tuple(complex(x) for x in v))
-            )
+            amps = tuple(complex(x) for x in v)
+        delta = oracle.delta(c1, c2, oracle.PureState(amps))
         m = oracle.helstrom(delta)
         bias = np.trace(delta @ (m.plus_projector - m.minus_projector)).real
         worst = max(worst, abs(bias - smallmat.trace_norm(delta)))

@@ -7,6 +7,15 @@ from entdisc import channels, smallmat
 from entdisc.channels import ExtremalChannel, QubitChannel
 
 
+def act(c, rho):
+    """``c`` on a one-qubit density matrix, or id (x) c on a two-qubit one,
+    through its superoperator on the row-major vec(rho)."""
+    smat = channels.superoperator(c)
+    if len(rho) == 4:
+        smat = channels.extend_superoperator(smat)
+    return (smat @ rho.reshape(-1)).reshape(rho.shape)
+
+
 def bell_phi_plus():
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / math.sqrt(2)
@@ -44,7 +53,7 @@ class TestKrausOfMixture:
     def test_degenerate_weight_acts_like_component(self):
         c = QubitChannel.extremal(1.0, 0.4)
         rho = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
-        out_mix = channels.apply(c, rho)
+        out_mix = act(c, rho)
         ks = channels.kraus_of(c.first)
         expected = sum(k @ rho @ k.conj().T for k in ks.operators)
         np.testing.assert_allclose(out_mix, expected, atol=1e-12)
@@ -56,7 +65,7 @@ class TestKrausOfMixture:
         one = sum(
             k @ rho @ k.conj().T for k in channels.kraus_of(e).operators
         )
-        np.testing.assert_allclose(channels.apply(c, rho), one, atol=1e-12)
+        np.testing.assert_allclose(act(c, rho), one, atol=1e-12)
 
     def test_pauli_channel_mixture(self):
         # lam * N(theta, theta) + (1-lam) * N(theta2, pi - theta2) has all
@@ -157,25 +166,18 @@ class TestApply:
     def test_identity(self):
         rho = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
         np.testing.assert_allclose(
-            channels.apply(QubitChannel.extremal(0, 0), rho), rho, atol=1e-14
+            act(QubitChannel.extremal(0, 0), rho), rho, atol=1e-14
         )
 
     def test_full_damping_ground_state(self):
         c = QubitChannel.extremal(math.pi / 2, 0.0)
-        out = channels.apply(c, np.diag([0.0, 1.0]).astype(complex))
+        out = act(c, np.diag([0.0, 1.0]).astype(complex))
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_partial_damping_populations(self):
         c = QubitChannel.extremal(math.pi / 3, 0.0)
-        out = channels.apply(c, np.diag([0.0, 1.0]).astype(complex))
+        out = act(c, np.diag([0.0, 1.0]).astype(complex))
         np.testing.assert_allclose(out, np.diag([0.75, 0.25]), atol=1e-14)
-
-    def test_rejects_non_density(self):
-        c = QubitChannel.extremal(0.3, 0.2)
-        with pytest.raises(ValueError, match="trace"):
-            channels.apply(c, np.diag([0.5, 0.9]).astype(complex))
-        with pytest.raises(ValueError, match="eigenvalue"):
-            channels.apply(c, np.array([[1.5, 0], [0, -0.5]], dtype=complex))
 
     def test_preserves_density_properties(self):
         rng = np.random.default_rng(22)
@@ -187,7 +189,7 @@ class TestApply:
             )
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             v /= np.linalg.norm(v)
-            out = channels.apply(c, np.outer(v, v.conj()))
+            out = act(c, np.outer(v, v.conj()))
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert smallmat.hermitian_eigenvalues(out)[0] > -1e-10
 
@@ -195,12 +197,12 @@ class TestApply:
 class TestApplyExtended:
     def test_identity(self):
         rho = bell_phi_plus()
-        out = channels.apply_extended(QubitChannel.extremal(0, 0), rho)
+        out = act(QubitChannel.extremal(0, 0), rho)
         np.testing.assert_allclose(out, rho, atol=1e-14)
 
     def test_full_damping_on_bell_state(self):
         c = QubitChannel.extremal(math.pi / 2, 0.0)
-        out = channels.apply_extended(c, bell_phi_plus())
+        out = act(c, bell_phi_plus())
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = expected[2, 2] = 0.5
         np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -210,7 +212,7 @@ class TestApplyExtended:
         a0, a1 = math.sqrt(0.3), math.sqrt(0.7)
         psi = np.zeros(4, dtype=complex)
         psi[0], psi[3] = a0, a1
-        out = channels.apply_extended(
+        out = act(
             QubitChannel.extremal(phi, theta), np.outer(psi, psi.conj())
         )
         piece1 = np.zeros(4, dtype=complex)
@@ -235,8 +237,8 @@ class TestApplyExtended:
             va /= np.linalg.norm(va)
             vb /= np.linalg.norm(vb)
             ra, rb = np.outer(va, va.conj()), np.outer(vb, vb.conj())
-            lhs = channels.apply_extended(c, np.kron(ra, rb))
-            rhs = np.kron(ra, channels.apply(c, rb))
+            lhs = act(c, np.kron(ra, rb))
+            rhs = np.kron(ra, act(c, rb))
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -332,10 +334,10 @@ class TestAffineMap:
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
             )
             m = channels.affine_map(c)
-            t = self._bloch(channels.apply(c, 0.5 * np.eye(2, dtype=complex)))
+            t = self._bloch(act(c, 0.5 * np.eye(2, dtype=complex)))
             np.testing.assert_allclose(t, m.t, atol=1e-10)
             for k, sigma in enumerate(paulis):
-                out = channels.apply(c, 0.5 * (np.eye(2, dtype=complex) + sigma))
+                out = act(c, 0.5 * (np.eye(2, dtype=complex) + sigma))
                 col = self._bloch(out) - t
                 expected = np.zeros(3)
                 expected[k] = m.lambdas[k]

@@ -24,6 +24,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def stdout_digest(capsys, *argvs):
+    """sha256 of the stdout of each request in turn; each must exit 0."""
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        h.update(out.encode())
+    return h.hexdigest()
+
+
 class TestParams:
     def test_full_damping_vs_identity(self, capsys):
         code, out, _ = run_cli(
@@ -447,6 +457,27 @@ class TestVerify:
         assert rec["report"]["passed"] is True
         assert len(rec["report"]["cases"]) == 3
 
+    def test_montecarlo_golden(self, capsys):
+        # taken before simulate became the one experiment path
+        digest = stdout_digest(
+            capsys, ["verify", "--mode", "montecarlo", "--trials", "20000", "--seed", "3"]
+        )
+        assert digest == "07bfc2637bfa98a3236726843b570ee58174f0efe0a8c86e799fd94f931fe4e4"
+
+    def test_samples_outside_sampled_modes_rejected(self, capsys, monkeypatch):
+        # the option used to be ignored in montecarlo mode, and the run exited 0
+        def no_work(*args):
+            raise AssertionError("verify ran a check")
+
+        monkeypatch.setattr(checks, "check_montecarlo", no_work)
+        code, out, err = run_cli(
+            capsys, "verify", "--mode", "montecarlo", "--samples", "0",
+            "--trials", "2000", "--seed", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--samples" in err and "montecarlo" in err
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_nonpositive_samples_rejected(self, capsys, samples):
         code, out, err = run_cli(
@@ -532,20 +563,49 @@ class TestExitCodes:
 
 class TestTrialsTooLarge:
     # the draws of 10^13 trials need 72.8 TiB; numpy's MemoryError used to
-    # end the run in a traceback.  The allocation is not attempted here.
+    # end the run in a traceback.  10^22 trials exceed any array length, and
+    # numpy refused them naming no option.  No allocation is attempted here.
     @pytest.mark.parametrize("argv", [
         ["simulate", "identity", "ad(1)", "--optimal", "--trials", str(10**13)],
         ["verify", "--mode", "montecarlo", "--trials", str(10**13)],
+        ["simulate", "identity", "ad(1)", "qubit(1,0)", "--trials", str(10**22)],
+        ["verify", "--mode", "montecarlo", "--trials", str(10**22)],
     ])
     def test_exits_1_naming_trials(self, capsys, monkeypatch, argv):
         def no_memory(*args):
             raise MemoryError("Unable to allocate 72.8 TiB")
 
-        monkeypatch.setattr(oracle, "simulate", no_memory)
+        def no_work(*args):
+            raise AssertionError("the run started before refusing --trials")
+
+        trials = int(argv[-1])
+        if trials > sys.maxsize:
+            # refused before any work
+            monkeypatch.setattr(checks, "check_montecarlo", no_work)
+            monkeypatch.setattr(oracle, "simulate", no_work)
+        else:
+            monkeypatch.setattr(oracle, "simulate", no_memory)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and f"--trials {10**13}" in err
+        assert err.startswith("error:") and f"--trials {trials} is too large" in err
+
+
+# Every ordered pair of the five channel kinds with a qubit and a pair
+# probe, --optimal once per kind, and a pair of equal channels.
+KINDS = ["identity", "ad(1.1)", "pauli(0.3,0.4,1.2)", "extremal(0.7,2.1)",
+         "mix(0.6;0.2,1.4;2.5,0.3)"]
+PROBES = ["qubit(0.6,0.8j)", "pair(0.5,0.1j,-0.3,0.8)"]
+SIMULATE_GOLDEN = [
+    ["simulate", a, b, probe, "--trials", "2000", "--seed", str(10 * i + j + 100 * k)]
+    for i, a in enumerate(KINDS)
+    for j, b in enumerate(KINDS)
+    if i != j
+    for k, probe in enumerate(PROBES)
+] + [
+    ["simulate", a, KINDS[(i + 2) % 5], "--optimal", "--trials", "2000", "--seed", str(i)]
+    for i, a in enumerate(KINDS)
+] + [["simulate", "ad(0.9)", "ad(0.9)", "qubit(1,0)", "--trials", "2000", "--seed", "1"]]
 
 
 class TestSimulate:
@@ -623,6 +683,27 @@ class TestSimulate:
         assert code == 0 and err == ""
         assert json.loads(out)["distance"] == json.loads(expected)["distance"]
 
+    def test_golden_bytes(self, capsys):
+        # taken before simulate became the one experiment path
+        assert len(SIMULATE_GOLDEN) == 46
+        assert stdout_digest(capsys, *SIMULATE_GOLDEN) == (
+            "4edc14cb934e5fa84c004a560db57e9ce3eb5cd608551beff28b2d32ce93e87c"
+        )
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_builds_each_superoperator_once(self, capsys, monkeypatch, probe):
+        built = []
+        superoperator = channels.superoperator
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return superoperator(*args, **kwargs)
+
+        monkeypatch.setattr(channels, "superoperator", counted)
+        code, _, _ = run_cli(capsys, "simulate", "ad(1.1)", "extremal(0.7,2.1)", probe)
+        assert code == 0
+        assert len(built) == 2
+
     @pytest.mark.parametrize("probe", ["qubit(nan,1)", "qubit(1,inf)", "pair(1,0,0,nanj)"])
     def test_non_finite_amplitude_rejected(self, capsys, probe):
         with warnings.catch_warnings(record=True) as caught:
@@ -633,6 +714,27 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "non-finite" in err
         assert not caught
+
+
+class TestClosedStdout:
+    def test_exits_1_without_traceback(self):
+        # the write used to end in a BrokenPipeError traceback
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child starts
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "entdisc.cli", "params", "identity", "ad(1)"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestOneAnalysisPerPair:

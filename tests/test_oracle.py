@@ -6,13 +6,21 @@ import pytest
 
 from entdisc import channels, checks, discrim, oracle, smallmat
 from entdisc.channels import ExtremalChannel, QubitChannel
-from entdisc.oracle import Measurement, PureState2, PureState4, SearchConfig
+from entdisc.oracle import Measurement, PureState, SearchConfig
 
 FAST = SearchConfig(grid_points=64, multistarts=16, refine_tol=1e-10, rng_seed=9)
 PRODUCT_TRAP = (
     QubitChannel.extremal(2.866637509083145, 0.22126097025033295),
     QubitChannel.extremal(3.0911674279949026, 1.5505448436716018),
 )
+
+
+def bloch_probe(polar, azimuth):
+    """The qubit probe at (polar, azimuth) on the Bloch sphere."""
+    return PureState((
+        complex(math.cos(polar / 2.0)),
+        complex(math.cos(azimuth), math.sin(azimuth)) * math.sin(polar / 2.0),
+    ))
 
 
 def random_pair(rng, mixtures=False):
@@ -33,16 +41,23 @@ def random_pair(rng, mixtures=False):
 class TestStates:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
-            PureState2(1.0, 1.0)
+            PureState((1.0, 1.0))
         with pytest.raises(ValueError):
-            PureState4((1.0, 0.5, 0, 0))
+            PureState((1.0, 0.5, 0, 0))
+
+    @pytest.mark.parametrize("amps", [(1.0,), (0.6, 0.8, 0.0), (1.0,) + (0.0,) * 7])
+    def test_rejects_other_lengths(self, amps):
+        # each has unit norm: only its length is wrong
+        with pytest.raises(ValueError, match=f"2 or 4 amplitudes, got {len(amps)}"):
+            PureState(amps)
 
     def test_bloch_construction(self):
-        s = PureState2.from_bloch(math.pi / 2, 0.0)
-        np.testing.assert_allclose(s.vector, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+        s = oracle._bloch_states(np.array([[math.pi / 2, 0.0]]))[0]
+        np.testing.assert_allclose(s, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_schmidt(self):
-        s = PureState4.schmidt(0.6, 0.8)
+        s = PureState.schmidt(0.6, 0.8)
+        assert s.is_pair
         np.testing.assert_allclose(s.vector, [0.6, 0, 0, 0.8])
 
 
@@ -87,27 +102,27 @@ class TestSearchConfig:
 class TestDeltas:
     def test_identical_channels_vanish(self):
         c = QubitChannel.extremal(0.7, 0.2)
-        d = oracle.delta_single(c, c, PureState2(0.6, 0.8))
+        d = oracle.delta(c, c, PureState((0.6, 0.8)))
         assert np.max(np.abs(d)) < 1e-14
-        d4 = oracle.delta_entangled(c, c, PureState4.schmidt(0.6, 0.8))
+        d4 = oracle.delta(c, c, PureState.schmidt(0.6, 0.8))
         assert np.max(np.abs(d4)) < 1e-14
 
     def test_orthogonal_outputs(self):
         ident = QubitChannel.extremal(0, 0)
         damp = QubitChannel.extremal(math.pi / 2, 0)
-        d = oracle.delta_single(ident, damp, PureState2(0, 1))
+        d = oracle.delta(ident, damp, PureState((0, 1)))
         np.testing.assert_allclose(d, np.diag([-1.0, 1.0]), atol=1e-14)
-        d0 = oracle.delta_single(ident, damp, PureState2(1, 0))
+        d0 = oracle.delta(ident, damp, PureState((1, 0)))
         assert np.max(np.abs(d0)) < 1e-14
 
     def test_product_probe_embeds_marginal(self):
         rng = np.random.default_rng(51)
         for _ in range(20):
             c1, c2 = random_pair(rng, mixtures=True)
-            psi = PureState2.from_bloch(*rng.uniform(0, math.pi, 2))
-            probe = PureState4(tuple(np.kron([1, 0], psi.vector)))
-            d2 = oracle.delta_single(c1, c2, psi)
-            d4 = oracle.delta_entangled(c1, c2, probe)
+            psi = bloch_probe(*rng.uniform(0, math.pi, 2))
+            probe = PureState(tuple(np.kron([1, 0], psi.vector)))
+            d2 = oracle.delta(c1, c2, psi)
+            d4 = oracle.delta(c1, c2, probe)
             assert abs(
                 smallmat.trace_norm(d4) - smallmat.trace_norm(d2)
             ) < 1e-10
@@ -116,12 +131,12 @@ class TestDeltas:
         rng = np.random.default_rng(52)
         for _ in range(50):
             c1, c2 = random_pair(rng, mixtures=True)
-            psi = PureState2.from_bloch(*rng.uniform(0, math.pi, 2))
-            assert abs(np.trace(oracle.delta_single(c1, c2, psi))) < 1e-10
-            probe = PureState4.schmidt(
+            psi = bloch_probe(*rng.uniform(0, math.pi, 2))
+            assert abs(np.trace(oracle.delta(c1, c2, psi))) < 1e-10
+            probe = PureState.schmidt(
                 math.sqrt(0.3), math.sqrt(0.7) * np.exp(0.4j)
             )
-            assert abs(np.trace(oracle.delta_entangled(c1, c2, probe))) < 1e-10
+            assert abs(np.trace(oracle.delta(c1, c2, probe))) < 1e-10
 
     def test_schmidt_phase_leaves_trace_norm_unchanged(self):
         # a phase on |11> is diag(1, e^{i eta}) on the reference qubit, which
@@ -132,8 +147,8 @@ class TestDeltas:
             t = rng.uniform(0, 1)
             norms = []
             for eta in np.linspace(0, 2 * math.pi, 7):
-                probe = PureState4.schmidt(math.sqrt(1 - t), math.sqrt(t) * np.exp(1j * eta))
-                norms.append(smallmat.trace_norm(oracle.delta_entangled(c1, c2, probe)))
+                probe = PureState.schmidt(math.sqrt(1 - t), math.sqrt(t) * np.exp(1j * eta))
+                norms.append(smallmat.trace_norm(oracle.delta(c1, c2, probe)))
             assert max(norms) - min(norms) < 1e-12
 
     def test_pair_chart_covers_every_state(self):
@@ -156,10 +171,10 @@ class TestDeltas:
                     point = oracle._pair_states(np.array([[s[1] ** 2, polar, azim]]))[0]
                     assert np.linalg.norm(point) == pytest.approx(1.0, abs=1e-14)
                     chart = smallmat.trace_norm(
-                        oracle.delta_entangled(c1, c2, PureState4(tuple(point)))
+                        oracle.delta(c1, c2, PureState(tuple(point)))
                     )
                     state = smallmat.trace_norm(
-                        oracle.delta_entangled(c1, c2, PureState4(tuple(amps)))
+                        oracle.delta(c1, c2, PureState(tuple(amps)))
                     )
                     assert abs(chart - state) < 1e-12
 
@@ -182,7 +197,7 @@ class TestDeltas:
         c2 = QubitChannel.extremal(0.4, 0.9)
         p = discrim.compute_params(c1, c2)
         a0, a1 = math.sqrt(0.4), math.sqrt(0.6)
-        d = oracle.delta_entangled(c1, c2, PureState4.schmidt(a0, a1))
+        d = oracle.delta(c1, c2, PureState.schmidt(a0, a1))
         expected = np.zeros((4, 4))
         expected[0, 0] = a0**2 * p.alpha
         expected[3, 3] = a1**2 * p.beta
@@ -253,7 +268,7 @@ class TestBruteMaxEntangled:
         rng = np.random.default_rng(55)
         c1, c2 = random_pair(rng)
         probe, res = oracle.optimal_entangled_probe(c1, c2, FAST)
-        achieved = smallmat.trace_norm(oracle.delta_entangled(c1, c2, probe))
+        achieved = smallmat.trace_norm(oracle.delta(c1, c2, probe))
         assert achieved == pytest.approx(res.value, abs=1e-9)
 
     @pytest.mark.parametrize("grid", [96, 128, 256])
@@ -287,8 +302,8 @@ class TestHelstrom:
         rng = np.random.default_rng(56)
         for _ in range(60):
             c1, c2 = random_pair(rng, mixtures=True)
-            psi = PureState2.from_bloch(*rng.uniform(0, math.pi, 2))
-            delta = oracle.delta_single(c1, c2, psi)
+            psi = bloch_probe(*rng.uniform(0, math.pi, 2))
+            delta = oracle.delta(c1, c2, psi)
             m = oracle.helstrom(delta)
             bias = np.trace(delta @ (m.plus_projector - m.minus_projector)).real
             assert abs(bias - smallmat.trace_norm(delta)) < 1e-9
@@ -296,56 +311,56 @@ class TestHelstrom:
     def test_projector_validation(self):
         bad = np.array([[0.5, 0], [0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="idempotent"):
-            Measurement(bad, np.eye(2) - bad, 2)
+            Measurement(bad, np.eye(2) - bad)
 
 
 class TestSimulate:
     def _damping_setup(self):
         ident = QubitChannel.extremal(0, 0)
         damp = QubitChannel.extremal(math.pi / 2, 0)
-        probe = PureState2(0, 1)
-        meas = oracle.helstrom(oracle.delta_single(ident, damp, probe))
-        return ident, damp, probe, meas
+        return ident, damp, PureState((0, 1))
 
     def test_orthogonal_outputs_always_win(self):
-        ident, damp, probe, meas = self._damping_setup()
-        assert oracle.simulate(ident, damp, probe, meas, 10000, 3) == 1.0
+        ident, damp, probe = self._damping_setup()
+        distance, freq = oracle.simulate(ident, damp, probe, 10000, 3)
+        assert freq == 1.0
+        assert distance == pytest.approx(2.0, abs=1e-14)
 
     def test_identical_channels_coin_flip(self):
         c = QubitChannel.extremal(0.5, 0.2)
-        probe = PureState2(1, 0)
-        meas = Measurement(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 2)
-        freq = oracle.simulate(c, c, probe, meas, 100000, 7)
+        probe = PureState((1, 0))
+        distance, freq = oracle.simulate(c, c, probe, 100000, 7)
+        assert distance == 0.0
         assert abs(freq - 0.5) <= 4 * 0.5 / math.sqrt(100000)
 
     def test_damping_pair_success_rate(self):
         c1 = QubitChannel.extremal(math.pi / 3, 0)
         c2 = QubitChannel.extremal(math.pi / 6, 0)
-        probe = PureState2(0, 1)
-        meas = oracle.helstrom(oracle.delta_single(c1, c2, probe))
-        freq = oracle.simulate(c1, c2, probe, meas, 100000, 11)
+        probe = PureState((0, 1))
+        _, freq = oracle.simulate(c1, c2, probe, 100000, 11)
         assert abs(freq - 0.75) <= 4 * 0.5 / math.sqrt(100000)
 
     def test_deterministic_given_seed(self):
-        ident, damp, _, _ = self._damping_setup()
         c1 = QubitChannel.extremal(0.8, 0.1)
         c2 = QubitChannel.extremal(0.2, 0.6)
-        probe = PureState2.from_bloch(1.0, 2.0)
-        meas = oracle.helstrom(oracle.delta_single(c1, c2, probe))
-        a = oracle.simulate(c1, c2, probe, meas, 5000, 123)
-        b = oracle.simulate(c1, c2, probe, meas, 5000, 123)
+        probe = bloch_probe(1.0, 2.0)
+        a = oracle.simulate(c1, c2, probe, 5000, 123)
+        b = oracle.simulate(c1, c2, probe, 5000, 123)
         assert a == b
 
-    def test_dimension_mismatch(self):
-        ident, damp, probe, meas = self._damping_setup()
-        probe4 = PureState4.schmidt(1.0, 0.0)
-        with pytest.raises(ValueError, match="dimension"):
-            oracle.simulate(ident, damp, probe4, meas, 10, 1)
+    def test_distance_is_the_trace_norm_of_delta(self):
+        rng = np.random.default_rng(61)
+        for dim in (2, 4, 2, 4, 2, 4):
+            c1, c2 = random_pair(rng, mixtures=True)
+            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            probe = PureState(tuple(amps / np.linalg.norm(amps)))
+            distance, _ = oracle.simulate(c1, c2, probe, 10, 1)
+            assert distance == smallmat.trace_norm(oracle.delta(c1, c2, probe))
 
     def test_trials_validated(self):
-        ident, damp, probe, meas = self._damping_setup()
+        ident, damp, probe = self._damping_setup()
         with pytest.raises(ValueError, match="trials"):
-            oracle.simulate(ident, damp, probe, meas, 0, 1)
+            oracle.simulate(ident, damp, probe, 0, 1)
 
 
 class TestConvergence:
