@@ -164,18 +164,14 @@ def kraus_operators(c: QubitChannel) -> np.ndarray:
     return _stacked([op for op in ops if max(map(abs, op)) > 1e-15])
 
 
-def superoperator(c: QubitChannel, extended: bool = False) -> np.ndarray:
-    """Matrix of rho -> sum_k K_k rho K_k^dag on the row-major vec(rho).
-
-    With ``extended`` the matrix is that of id (x) channel on two-qubit
-    states, expanded from the qubit one by :func:`extend_superoperator`.
-    """
+def superoperator(c: QubitChannel) -> np.ndarray:
+    """Matrix of rho -> sum_k K_k rho K_k^dag on the row-major vec(rho);
+    :func:`extend_superoperator` expands it to id (x) channel."""
     import numpy as np
 
     ops = kraus_operators(c)
     # sum_k kron(K_k, conj(K_k)): row (a, c), column (b, d)
-    smat = np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(4, 4)
-    return extend_superoperator(smat) if extended else smat
+    return np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(4, 4)
 
 
 def extend_superoperator(smat: np.ndarray) -> np.ndarray:

@@ -357,6 +357,13 @@ def _check_trials(trials: int) -> None:
         raise _trials_too_large(trials)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed before any work, naming the option; the
+    search config would refuse it by its own field name."""
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 @contextlib.contextmanager
 def _trials_fit(trials: int):
     """Turn a simulation's failure to allocate its draws into a message."""
@@ -369,6 +376,7 @@ def _trials_fit(trials: int):
 def cmd_verify(args) -> int:
     from . import checks, oracle
 
+    _check_seed(args.seed)
     if args.mode == "montecarlo":
         if args.samples is not None:
             raise ValueError(
@@ -402,6 +410,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     from . import oracle
 
+    _check_seed(args.seed)
     c1 = channels.parse_channel(args.channel1)
     c2 = channels.parse_channel(args.channel2)
     if args.optimal and args.probe is not None:

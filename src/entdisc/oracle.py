@@ -4,13 +4,15 @@ Nothing in this module uses the closed-form distance formulas.  Trace
 distances are maximized directly over probe states by applying the
 channels' superoperators (:func:`channels.superoperator`), so the results
 serve as an independent check on the closed forms and on the decision
-tree.  Grid evaluations are batched through numpy (including LAPACK's
-batched Hermitian eigensolver for the 4x4 case), which keeps the
-acceptance sweeps fast.  Each grid is evaluated one pair at a time: a
-pair's grid values are a few n^2-long arrays, so a check's memory does not
-grow with its number of pairs, and batching the pairs measured no faster.
-The Bloch grid keeps its points as four rows of coordinates (1, x, y, z),
-so each Pauli coordinate of a pair's outputs is one contiguous row.
+tree.  The grids call no eigensolver: each grid output is made of
+Hermitian 2x2 blocks, and a block's trace norm is a closed form in its
+Pauli coordinates (:func:`_tracenorm2`).  The Bloch grid is evaluated one
+pair at a time: a pair's grid values are a few n^2-long arrays, so a
+check's memory does not grow with its number of pairs, and batching the
+pairs measured no faster.  It keeps its points as four rows of coordinates
+(1, x, y, z), so each Pauli coordinate of a pair's outputs is one
+contiguous row.  The restricted grid is n points a pair, and runs for all
+the pairs of a check as one (pairs x n) array.
 
 The three searches share one maximizer, :func:`_seesaw`, whose rows each
 carry their own superoperator and their own probe basis.  A check runs the
@@ -39,7 +41,13 @@ fixed.  The searches differ only in the probe subspace and the starts:
   over the Schmidt weight t of sqrt(1 - t)|00> + sqrt(t)|11>.  A relative
   phase on |11> is undone exactly by diag(1, e^{-i eta}) on the reference
   qubit, a unitary that commutes with id (x) N and leaves the trace norm
-  unchanged, so the grid is real;
+  unchanged, so the grid is real.  Every channel of the family is
+  Z-covariant, N(Z rho Z) = Z N(rho) Z (K0 is diagonal and K1
+  anti-diagonal, and mixtures keep this), so on such a probe the output of
+  id (x) Delta commutes with Z (x) Z.  It splits into 2x2 blocks on
+  {|00>, |11>} and {|01>, |10>}, whose entries are entries of the Choi
+  matrix of Delta times products of the chart amplitudes
+  (:func:`_restricted_rows`);
 * full: all of C^4, from seeded starts on the pair chart
   sqrt(1 - t)|0>|v0> + sqrt(t)|1>|v1> (v0 a Bloch state of the system
   qubit, v1 orthogonal to it).  By the SVD every pure two-qubit state is a
@@ -151,14 +159,13 @@ class Measurement:
             raise ValueError("projectors do not sum to the identity")
 
 
-def _delta_superop(c1, c2, extended: bool) -> np.ndarray:
-    lmat = channels.superoperator(c1) - channels.superoperator(c2)
-    return channels.extend_superoperator(lmat) if extended else lmat
+def _delta_superop(c1, c2) -> np.ndarray:
+    return channels.superoperator(c1) - channels.superoperator(c2)
 
 
-def _superops(pairs, extended: bool = False) -> np.ndarray:
+def _superops(pairs) -> np.ndarray:
     """The difference superoperators of channel pairs, stacked one per row."""
-    return np.stack([_delta_superop(c1, c2, extended) for c1, c2 in pairs])
+    return np.stack([_delta_superop(c1, c2) for c1, c2 in pairs])
 
 
 def _apply(lmats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -194,10 +201,6 @@ def delta(c1, c2, probe: PureState) -> np.ndarray:
     """Difference of the two channel outputs on ``probe``; on a pair probe
     the channels act as id (x) N."""
     return _outputs(c1, c2, probe)[0]
-
-
-def _tracenorm4_batch(d: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
 
 
 def _aligned(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -344,17 +347,21 @@ def _bloch_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return params, r
 
 
+def _tracenorm2(c0, x, y, z):
+    """||D||_1 of the Hermitian 2x2 D = c0 I + x X + y Y + z Z, elementwise:
+    its eigenvalues are c0 +- |c|, so ||D||_1 = 2 max(|c0|, |c|)."""
+    return 2.0 * np.maximum(np.abs(c0), np.sqrt(x * x + y * y + z * z))
+
+
 def _bloch_values(lmat: np.ndarray, r: np.ndarray) -> np.ndarray:
     """||Delta(rho)||_1 at Bloch points r = (1, x, y, z), one per column.
 
-    rho = sum_j r_j sigma_j / 2, so D = c0 I + c.sigma is affine in r, its
-    Pauli coordinates are those of the four outputs Delta(sigma_j / 2)
-    times r, and ||D||_1 = 2 max(|c0|, |c|).  Each coordinate is one
-    contiguous row, so |c| is two elementwise sums, not a strided
-    reduction.
+    rho = sum_j r_j sigma_j / 2, so D = c0 I + c.sigma is affine in r, and
+    its Pauli coordinates are those of the four outputs Delta(sigma_j / 2)
+    times r.  Each coordinate is one contiguous row, so |c| is two
+    elementwise sums, not a strided reduction.
     """
-    c0, x, y, z = np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES) @ r
-    return 2.0 * np.maximum(np.abs(c0), np.sqrt(x * x + y * y + z * z))
+    return _tracenorm2(*(np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES) @ r))
 
 
 def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig):
@@ -390,22 +397,53 @@ def _schmidt_states(params: np.ndarray) -> np.ndarray:
     return states
 
 
-def _restricted_rows(ext: np.ndarray, cfg: SearchConfig):
-    """The restricted rows of a see-saw, one per extended superoperator of
-    ``ext``: each searches span{|00>, |11>} from the best interior point of
-    a grid over the Schmidt weight t, evaluated one row at a time.  A
-    product probe (t = 0 or 1) is a fixed point of the see-saw, so each row
-    starts inside and keeps its best grid value when that is higher.
-    Returns the starts, the best grid values and their states.
+# the Z (x) Z eigenspaces {|00>, |11>} and {|01>, |10>} (the diagonal of
+# Z (x) Z is _ZZ), and the entries of a 4x4 matrix that join the two
+_BLOCKS = ((0, 3), (1, 2))
+_ZZ = np.array([1, -1, -1, 1])
+_OFF_BLOCKS = _ZZ[:, None] != _ZZ[None, :]
+
+
+def _choi(lmats: np.ndarray) -> np.ndarray:
+    """The Choi matrices J = sum_ab |a><b| (x) Delta(|a><b|) of a stack of
+    qubit superoperators, by copying entries: J[(a i), (b j)] is the entry
+    Delta(|a><b|)_ij = L[(i j), (a b)]."""
+    return lmats.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+
+
+def _restricted_rows(lmats: np.ndarray, cfg: SearchConfig):
+    """The restricted rows of a see-saw, one per qubit superoperator of
+    ``lmats``: each searches span{|00>, |11>} from the best interior point
+    of a grid over the Schmidt weight t.  A product probe (t = 0 or 1) is a
+    fixed point of the see-saw, so each row starts inside and keeps its
+    best grid value when that is higher; lower indices win ties.  Returns
+    the starts, the best grid values and their states.
+
+    The grid is read off each pair's Choi matrix J, for all rows at once.
+    The probe sqrt(1 - t)|00> + sqrt(t)|11> is sum_ab w_ab |aa><bb|, with
+    w_ab the products of its two amplitudes, and id (x) Delta maps it to
+    the matrix with entries w_ab J[(a i), (b j)].  The family is
+    Z-covariant, so J is zero off the two Z (x) Z blocks, and the output's
+    trace norm is the sum of those of its 2x2 blocks
+    [[w00 J00, w01 J03], [., w11 J33]] and [[w00 J11, w01 J12], [., w11 J22]].
+    Raises ``ValueError`` when a J has an entry off those blocks.
     """
+    choi = _choi(lmats)
+    if np.any(choi[:, _OFF_BLOCKS]):
+        raise ValueError("a difference is not Z-covariant: its Choi matrix "
+                         "has entries off the Z (x) Z blocks")
     states = _schmidt_states(np.linspace(0.0, 1.0, cfg.grid_points)[:, None])
-    starts, tops, top_values = [], [], []
-    for lmat in ext:
-        values = _tracenorm4_batch(_delta_batch(lmat, states))
-        starts.append(1 + int(np.argmax(values[1:-1])))
-        tops.append(int(np.argmax(values)))
-        top_values.append(values[tops[-1]])
-    return states[starts], np.array(top_values), states[tops]
+    s0, s1 = states[:, 0].real, states[:, 3].real
+    w00, w11, w01 = s0 * s0, s1 * s1, s0 * s1
+    values = 0.0
+    for p, q in _BLOCKS:
+        a = choi[:, p, p, None].real * w00
+        b = choi[:, q, q, None].real * w11
+        c = choi[:, p, q, None] * w01
+        values = values + _tracenorm2(0.5 * (a + b), c.real, c.imag, 0.5 * (a - b))
+    starts = 1 + np.argmax(values[:, 1:-1], axis=1)
+    tops = np.argmax(values, axis=1)
+    return states[starts], values[np.arange(len(tops)), tops], states[tops]
 
 
 _BLOCH_BASIS = np.eye(4)[:, [0, 1]]  # |00>, |01>: the probes |0> (x) psi
@@ -418,12 +456,13 @@ def _grid_searches(
     """The Bloch and/or restricted search for each row of ``lmats`` (qubit
     difference superoperators), all as the rows of one see-saw.
 
-    Every row runs on its pair's extended superoperator, expanded from the
-    qubit one (:func:`channels.extend_superoperator`), in its search's
-    basis, so each has a 4x4 D-step and a 2x2 M-step.  A row's best grid
-    point wins when it is higher than the see-saw's value.  Rows never mix,
-    so a result does not depend on the other rows or searches.  Returns one
-    list of results per search run, the Bloch one first.  The Bloch arg is
+    Both grids read the qubit superoperators.  Every see-saw row runs on
+    its pair's extended superoperator, expanded from the qubit one
+    (:func:`channels.extend_superoperator`), in its search's basis, so each
+    has a 4x4 D-step and a 2x2 M-step.  A row's best grid point wins when
+    it is higher than the see-saw's value.  Rows never mix, so a result
+    does not depend on the other rows or searches.  Returns one list of
+    results per search run, the Bloch one first.  The Bloch arg is
     the weight on |1> of psi, the restricted arg the Schmidt weight t.
     """
     ext = channels.extend_superoperator(lmats)
@@ -431,7 +470,7 @@ def _grid_searches(
     if bloch:
         searches.append((_bloch_rows(lmats, cfg), _BLOCH_BASIS, 1, "bloch-grid"))
     if restricted:
-        searches.append((_restricted_rows(ext, cfg), _SCHMIDT_BASIS, 3, "restricted"))
+        searches.append((_restricted_rows(lmats, cfg), _SCHMIDT_BASIS, 3, "restricted"))
     starts, top_values, top_states = (
         np.concatenate(part) for part in zip(*(rows for rows, *_ in searches))
     )
@@ -472,7 +511,7 @@ def _full_engine(c1, c2, cfg: SearchConfig) -> DistanceResult:
     polar and azimuth drawn uniformly in turn, every start on the pair's one
     superoperator; the lowest start index wins ties.  arg is the weight on
     |11> of the winning probe."""
-    lmat = _delta_superop(c1, c2, extended=True)
+    lmat = channels.extend_superoperator(_delta_superop(c1, c2))
     rng = np.random.default_rng(np.random.PCG64(cfg.rng_seed))
     k = cfg.multistarts
     ranges = ((0.0, 1.0), (0.0, math.pi), (0.0, 2.0 * math.pi))
@@ -540,12 +579,9 @@ def optimal_entangled_probe(
     return PureState.schmidt(math.sqrt(1.0 - t), math.sqrt(t)), result
 
 
-def helstrom(delta) -> Measurement:
-    """Minimum-error measurement for a Hermitian output difference.
-
-    The plus projector spans the strictly positive eigenspace; null
-    directions go to the minus projector so results are deterministic.
-    """
+def _helstrom_eigen(delta) -> tuple[Measurement, float]:
+    """The :func:`helstrom` measurement of ``delta`` and its trace norm,
+    both from one eigensystem."""
     delta = smallmat.check_hermitian(delta, tol=1e-10)
     vals, vecs = smallmat.hermitian_eigensystem(delta)
     dim = delta.shape[0]
@@ -556,7 +592,17 @@ def helstrom(delta) -> Measurement:
             plus += v @ v.conj().T
     plus = 0.5 * (plus + plus.conj().T)
     minus = np.eye(dim) - plus
-    return Measurement(plus, 0.5 * (minus + minus.conj().T))
+    measurement = Measurement(plus, 0.5 * (minus + minus.conj().T))
+    return measurement, float(np.sum(np.abs(vals)))
+
+
+def helstrom(delta) -> Measurement:
+    """Minimum-error measurement for a Hermitian output difference.
+
+    The plus projector spans the strictly positive eigenspace; null
+    directions go to the minus projector so results are deterministic.
+    """
+    return _helstrom_eigen(delta)[0]
 
 
 def simulate(
@@ -564,7 +610,8 @@ def simulate(
 ) -> tuple[float, float]:
     """The Helstrom experiment on ``probe``: the trace norm of its output
     difference, and the empirical success frequency of the guess-on-plus
-    strategy with the difference's :func:`helstrom` measurement.
+    strategy with the difference's :func:`helstrom` measurement.  The
+    distance and the measurement come from one eigensystem.
 
     Each trial draws one of the two channels uniformly, samples the
     measurement outcome on that channel's output, and guesses channel 1 on
@@ -573,7 +620,7 @@ def simulate(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     diff, *outs = _outputs(c1, c2, probe)
-    m = helstrom(diff)
+    m, distance = _helstrom_eigen(diff)
     p_plus = np.array(
         [min(max(float(np.real(np.trace(out @ m.plus_projector))), 0.0), 1.0)
          for out in outs]
@@ -582,4 +629,4 @@ def simulate(
     which = rng.integers(0, 2, size=trials)
     clicks_plus = rng.random(trials) < p_plus[which]
     guesses = np.where(clicks_plus, 0, 1)
-    return smallmat.trace_norm(diff), float(np.mean(guesses == which))
+    return distance, float(np.mean(guesses == which))

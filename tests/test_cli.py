@@ -527,6 +527,18 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("mode", ["tree", "lemma1", "lemma2", "montecarlo"])
+    def test_negative_seed_names_the_option(self, capsys, monkeypatch, mode):
+        # the message used to name the search config's field, rng_seed
+        def no_work(*args):
+            raise AssertionError("verify ran a check")
+
+        monkeypatch.setattr(checks, f"check_{mode}", no_work)
+        code, out, err = run_cli(capsys, "verify", "--mode", mode, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be >= 0, got -1\n"
+
     def test_tree_run_retaining_nothing_fails(self, capsys):
         # the single sample of seed 4 lies within the slack of a tree split
         code, out, _ = run_cli(
@@ -661,6 +673,21 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "seed must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("probe", ["qubit(1,0)", "--optimal"])
+    def test_negative_seed_names_the_option(self, capsys, monkeypatch, probe):
+        # the message used to name the search config's field, rng_seed
+        def no_work(*args):
+            raise AssertionError("simulate ran a search or an experiment")
+
+        monkeypatch.setattr(oracle, "optimal_entangled_probe", no_work)
+        monkeypatch.setattr(oracle, "simulate", no_work)
+        code, out, err = run_cli(
+            capsys, "simulate", "identity", "ad(1)", probe, "--seed", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be >= 0, got -1\n"
 
     def test_complex_probe_amplitudes(self, capsys):
         code, out, _ = run_cli(

@@ -400,7 +400,7 @@ class TestConvergence:
         # interior start keeps gaining past a cap of two steps
         c1, c2 = PRODUCT_TRAP
         closed = discrim.compute_params(c1, c2).entangled.value
-        lmat = oracle._delta_superop(c1, c2, extended=True)
+        lmat = channels.extend_superoperator(oracle._delta_superop(c1, c2))
         starts = oracle._schmidt_states(np.array([[0.0], [0.5]]))
         basis = np.eye(4)[:, [0, 3]]
         monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
@@ -475,6 +475,105 @@ class TestConvergence:
         assert rep["full_seesaw_steps"]["max"] == 2
 
 
+def eigensolver_values(lmats, cfg):
+    """The restricted grid the way it ran before it read Choi blocks: one
+    LAPACK eigvalsh per grid point of each pair's extended output.  Returns
+    the grid's states and the values, one row per pair."""
+    states = oracle._schmidt_states(np.linspace(0.0, 1.0, cfg.grid_points)[:, None])
+    values = [
+        np.sum(np.abs(np.linalg.eigvalsh(oracle._delta_batch(ext, states))), axis=1)
+        for ext in channels.extend_superoperator(lmats)
+    ]
+    return states, np.array(values)
+
+
+def unitary_difference(rng):
+    """The superoperator of U1 X U1^dag - U2 X U2^dag for random unitaries,
+    vec(U X U^dag) = (U (x) conj U) vec(X): no channel of the family."""
+    u1, u2 = (
+        np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        for _ in range(2)
+    )
+    return np.kron(u1, u1.conj()) - np.kron(u2, u2.conj())
+
+
+class TestRestrictedBlocks:
+    LITERALS = (
+        "identity", "ad(0.7)", "ad(1)", "pauli(0.3,0.4,1.1)",
+        "pauli(0.5,0.6,1.1)", "mix(0.25;1.2,0.4;0.3,2.0)",
+    )
+
+    @classmethod
+    def pairs(cls):
+        rng = checks._rng(26)
+        pairs = [
+            (checks.sample_extremal(rng), checks.sample_extremal(rng))
+            for _ in range(150)
+        ] + [(checks.sample_mixture(rng), checks.sample_mixture(rng)) for _ in range(150)]
+        literals = [channels.parse_channel(text) for text in cls.LITERALS]
+        return pairs + [(c1, c2) for c1 in literals for c2 in literals]
+
+    @pytest.mark.parametrize("grid", [96, 256])
+    def test_matches_the_eigensolver_path(self, grid):
+        lmats = oracle._superops(self.pairs())
+        cfg = SearchConfig(grid_points=grid)
+        starts, top_values, tops = oracle._restricted_rows(lmats, cfg)
+        states, values = eigensolver_values(lmats, cfg)
+        rows = np.arange(len(lmats))
+        ref_starts = 1 + np.argmax(values[:, 1:-1], axis=1)
+        ref_tops = np.argmax(values, axis=1)
+        assert np.max(np.abs(top_values - values[rows, ref_tops])) <= 1e-15
+        # the grid index of each pick
+        picks = [
+            np.argmax(np.all(found[:, None, :] == states[None, :, :], axis=2), axis=1)
+            for found in (starts, tops)
+        ]
+        seeded = slice(0, 300)
+        np.testing.assert_array_equal(picks[0][seeded], ref_starts[seeded])
+        np.testing.assert_array_equal(picks[1][seeded], ref_tops[seeded])
+        # a literal pair may have two grid points equal in exact arithmetic,
+        # t and 1 - t for identity against a Pauli channel; the eigensolver's
+        # rounding picks one of them, so a pick there may be the other
+        for pick, ref in zip(picks, (ref_starts, ref_tops)):
+            best = values[rows, ref]
+            assert np.all(values[rows, pick] >= best - 1e-15)
+            assert np.all(np.flatnonzero(pick != ref) >= 300)
+
+    def test_rows_equal_one_row_calls(self):
+        lmats = oracle._superops(self.pairs()[::17])
+        cfg = SearchConfig(grid_points=96)
+        batched = oracle._restricted_rows(lmats, cfg)
+        for k in range(len(lmats)):
+            alone = oracle._restricted_rows(lmats[k : k + 1], cfg)
+            for part, row in zip(batched, alone):
+                np.testing.assert_array_equal(part[k], row[0])
+
+    def test_choi_matrix_is_the_reshuffled_superoperator(self):
+        pairs = self.pairs()
+        for (c1, c2), choi in zip(pairs, oracle._choi(oracle._superops(pairs))):
+            reference = channels.choi_matrix(
+                channels.kraus_of_mixture(c1)
+            ) - channels.choi_matrix(channels.kraus_of_mixture(c2))
+            assert np.max(np.abs(choi - reference)) <= 1e-15
+
+    def test_rejects_a_difference_that_is_not_z_covariant(self):
+        lmats = np.stack([
+            oracle._superops(self.pairs()[:1])[0],
+            unitary_difference(np.random.default_rng(65)),
+        ])
+        with pytest.raises(ValueError, match="Z-covariant"):
+            oracle._restricted_rows(lmats, SearchConfig(grid_points=96))
+
+    def test_calls_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the restricted grid called an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        lmats = oracle._superops(self.pairs())
+        oracle._restricted_rows(lmats, SearchConfig(grid_points=96))
+
+
 class TestBatchedEngine:
     # the search budget of `entdisc verify`
     CFG = SearchConfig(grid_points=96, multistarts=16, rng_seed=7)
@@ -520,13 +619,14 @@ class TestBatchedEngine:
         built = []
         superoperator = channels.superoperator
 
-        def counting(c, extended=False):
-            built.append(extended)
-            return superoperator(c, extended)
+        def counting(c):
+            smat = superoperator(c)
+            built.append(smat.shape)
+            return smat
 
         monkeypatch.setattr(channels, "superoperator", counting)
         oracle.brute_max_many(self.pairs(67, 9), self.CFG)
-        assert built == [False] * 18
+        assert built == [(4, 4)] * 18
 
     def test_values_match_closed_forms_at_verify_budget(self):
         # the product-probe Bloch rows lose no precision against the qubit
@@ -566,16 +666,11 @@ class TestBatchedEngine:
     def test_affine_bloch_grid_matches_outer_products(self, grid):
         params, r = oracle._bloch_grid(grid)
         states = oracle._bloch_states(params)
-        lmats = list(oracle._superops(self.pairs(63, 10), extended=False))
+        lmats = list(oracle._superops(self.pairs(63, 10)))
         # the channel family is real; unitary channels U X U^dag, with
         # vec(U X U^dag) = (U (x) conj U) vec(X), also have complex outputs
         rng = np.random.default_rng(65)
-        for _ in range(4):
-            u1, u2 = (
-                np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-                for _ in range(2)
-            )
-            lmats.append(np.kron(u1, u1.conj()) - np.kron(u2, u2.conj()))
+        lmats += [unitary_difference(rng) for _ in range(4)]
         for lmat in lmats:
             d = oracle._delta_batch(lmat, states)
             reference = np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
@@ -593,14 +688,9 @@ class TestBatchedEngine:
             (checks.sample_extremal(rng), checks.sample_extremal(rng))
             for _ in range(8)
         ] + [(checks.sample_mixture(rng), checks.sample_mixture(rng)) for _ in range(8)]
-        lmats = list(oracle._superops(pairs, extended=False))
+        lmats = list(oracle._superops(pairs))
         rng = np.random.default_rng(65)
-        for _ in range(4):
-            u1, u2 = (
-                np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-                for _ in range(2)
-            )
-            lmats.append(np.kron(u1, u1.conj()) - np.kron(u2, u2.conj()))
+        lmats += [unitary_difference(rng) for _ in range(4)]
         for lmat in lmats:
             c = points @ np.real(oracle._PAULI_COORDS @ lmat @ oracle._PAULI_HALVES).T
             reference = 2.0 * np.maximum(
@@ -612,7 +702,7 @@ class TestBatchedEngine:
             assert values[top] == reference[top]
 
     def test_bloch_grid_memory_does_not_grow_with_rows(self):
-        lmats = oracle._superops(self.pairs(66, 64), extended=False)
+        lmats = oracle._superops(self.pairs(66, 64))
         oracle._bloch_rows(lmats[:1], self.CFG)  # fills the grid cache
 
         def peak(rows):
