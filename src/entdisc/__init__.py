@@ -4,11 +4,10 @@ The library answers one question for any pair of qubit channels given in the
 simultaneously diagonalizable form: does attaching half of an entangled pair
 to the probe improve the best achievable success probability?  It provides
 
-* ``smallmat``  -- Hermiticity checks, eigenvalues and trace norms of 2x2/4x4
-  matrices,
+* ``smallmat``  -- the checked Hermitian eigensystem of 2x2/4x4 matrices,
 * ``channels``  -- the two-angle channel parametrization, convex mixtures,
-  Kraus/superoperator/affine pictures and Choi matrices; the superoperator
-  is the one way a channel acts,
+  Kraus sets and superoperators; the superoperator is the one way a
+  channel acts,
 * ``discrim``   -- discrimination parameters, closed-form trace-distance
   maxima, and the usefulness decision tree,
 * ``oracle``    -- brute-force probe-state search, Helstrom measurements,

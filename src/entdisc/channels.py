@@ -7,9 +7,9 @@ angles (phi, theta) in [0, pi] through the Kraus pair
     K1 = [[0, sin(phi)], [sin(theta), 0]],
 
 and a general channel in the simultaneously diagonalizable family is a
-convex mixture of two such maps.  This module builds those objects and
-their Kraus sets, superoperators and Choi matrices, exposes the affine
-Bloch-ball picture, and parses the channel literal syntax used by the CLI:
+convex mixture of two such maps.  This module builds those objects, their
+Kraus sets and superoperators, and parses the channel literal syntax used
+by the CLI:
 
     identity
     ad(phi)
@@ -19,24 +19,23 @@ Bloch-ball picture, and parses the channel literal syntax used by the CLI:
 
 with all angles in radians.
 
-The parameters, literals and affine picture need only ``math``.  The
-matrix pictures (Kraus sets, superoperators, Choi matrices) import numpy
-when first called, so the closed-form path through :mod:`discrim` never
-loads numpy.  They stay defined in this module, where callers and tools
-that look a channel function up by module attribute find them.
+The parameters and literals need only ``math``.  The matrix pictures
+(Kraus sets, superoperators) import numpy when first called, so the
+closed-form path through :mod:`discrim` never loads numpy.  They stay
+defined in this module, where callers and tools that look a channel
+function up by module attribute find them.
 
-Every Kraus set is built by one function, :func:`_scaled_kraus`: it
-writes the entries of the weighted operators as Python floats, and the
-caller makes one complex array of them.  :func:`kraus_of` and
-:func:`kraus_of_mixture` keep every operator; :func:`kraus_operators`
-first drops the operators whose entries are all within 1e-15 of zero, in
-plain Python.  A Kraus set is built for every superoperator, and a numpy
-call per operator would cost more than its arithmetic.
+Every Kraus set is built by one function, :func:`kraus_operators`: it
+writes the entries of the weighted operators as Python floats, drops the
+operators whose entries are all within 1e-15 of zero, and makes one
+complex array of the rest.  A Kraus set is built for every superoperator,
+and a numpy call per operator would cost more than its arithmetic.
 :func:`superoperator` is the one way a channel acts on a state, and
 :func:`extend_superoperator` the one way its action on one qubit of a pair
 is built: by copying the entries of the qubit superoperator.  No function
 here applies a channel to a state; :mod:`oracle` applies stacks of these
-matrices to its probes.
+matrices to its probes, and reads the affine Bloch picture and the Choi
+matrix off them.
 """
 
 from __future__ import annotations
@@ -86,82 +85,25 @@ class QubitChannel:
         c = ExtremalChannel(phi, theta)
         return cls(1.0, c, c)
 
-    @classmethod
-    def mixture(
-        cls, lam: float, first: ExtremalChannel, second: ExtremalChannel
-    ) -> "QubitChannel":
-        return cls(lam, first, second)
-
     @property
     def is_extremal(self) -> bool:
         return self.lam == 1.0 or self.first == self.second
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """Flat list of Kraus operators with mixture weights folded in.
-
-    ``operators`` already carry the sqrt(weight) scaling, so completeness
-    reads sum_i op_i^dag op_i = I.
-    """
-
-    operators: tuple
-
-    def completeness_deviation(self) -> float:
-        import numpy as np
-
-        acc = np.zeros((2, 2), dtype=complex)
-        for op in self.operators:
-            acc += op.conj().T @ op
-        return float(np.max(np.abs(acc - np.eye(2))))
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Bloch-ball action r -> diag(lambdas) r + t."""
-
-    lambdas: tuple
-    t: tuple
-
-
-def _scaled_kraus(parts) -> list:
-    """The row-major entries of w K0 and w K1 for each (w, channel) of
-    ``parts``, as 4-tuples of Python floats, two operators per channel."""
-    ops = []
-    for w, c in parts:
-        ct, cp = math.cos(c.theta), math.cos(c.phi)
-        sp, st = math.sin(c.phi), math.sin(c.theta)
-        ops.append((w * ct, 0.0, 0.0, w * cp))
-        ops.append((0.0, w * sp, w * st, 0.0))
-    return ops
-
-
-def _mixture_parts(c: QubitChannel) -> tuple:
-    return ((math.sqrt(c.lam), c.first), (math.sqrt(1.0 - c.lam), c.second))
-
-
-def _stacked(ops: list) -> np.ndarray:
-    """Entries from :func:`_scaled_kraus` as one (count, 2, 2) array."""
+def kraus_operators(c: QubitChannel) -> np.ndarray:
+    """Scaled Kraus operators sqrt(lam) K0, K1 of the first component and
+    sqrt(1 - lam) K0, K1 of the second, as one (count, 2, 2) array;
+    operators whose entries are all within 1e-15 of zero are dropped."""
     import numpy as np
 
-    return np.array(ops, dtype=complex).reshape(-1, 2, 2)
-
-
-def kraus_of(c: ExtremalChannel) -> KrausSet:
-    """The two Kraus operators of an extremal channel."""
-    return KrausSet(tuple(_stacked(_scaled_kraus(((1.0, c),)))))
-
-
-def kraus_of_mixture(c: QubitChannel) -> KrausSet:
-    """Four scaled Kraus operators of a convex mixture."""
-    return KrausSet(tuple(_stacked(_scaled_kraus(_mixture_parts(c)))))
-
-
-def kraus_operators(c: QubitChannel) -> np.ndarray:
-    """Scaled Kraus operators of any channel as one (count, 2, 2) array;
-    operators whose entries are all within 1e-15 of zero are dropped."""
-    ops = _scaled_kraus(_mixture_parts(c))
-    return _stacked([op for op in ops if max(map(abs, op)) > 1e-15])
+    ops = []
+    for w, e in ((math.sqrt(c.lam), c.first), (math.sqrt(1.0 - c.lam), c.second)):
+        ct, cp = math.cos(e.theta), math.cos(e.phi)
+        sp, st = math.sin(e.phi), math.sin(e.theta)
+        ops.append((w * ct, 0.0, 0.0, w * cp))
+        ops.append((0.0, w * sp, w * st, 0.0))
+    kept = [op for op in ops if max(map(abs, op)) > 1e-15]
+    return np.array(kept, dtype=complex).reshape(-1, 2, 2)
 
 
 def superoperator(c: QubitChannel) -> np.ndarray:
@@ -195,45 +137,10 @@ def extend_superoperator(smat: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, 16, 16)
 
 
-def affine_map(c: QubitChannel) -> AffineMap:
-    """Bloch-ball affine picture; mixtures combine component maps convexly."""
-
-    def extremal_map(e: ExtremalChannel):
-        lam1 = math.cos(e.phi - e.theta)
-        lam2 = math.cos(e.phi + e.theta)
-        return (
-            (lam1, lam2, lam1 * lam2),
-            (0.0, 0.0, math.sin(e.phi - e.theta) * math.sin(e.phi + e.theta)),
-        )
-
-    def convex(x, y):
-        return tuple(lam * a + (1.0 - lam) * b for a, b in zip(x, y))
-
-    l1, t1 = extremal_map(c.first)
-    l2, t2 = extremal_map(c.second)
-    lam = c.lam
-    return AffineMap(convex(l1, l2), convex(t1, t2))
-
-
-def choi_matrix(k: KrausSet) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) N(|i><j|) of the channel."""
-    import numpy as np
-
-    choi = np.zeros((4, 4), dtype=complex)
-    for op in k.operators:
-        w = np.asarray(op, dtype=complex).T.reshape(4)
-        choi += np.outer(w, w.conj())
-    return choi
-
-
-def is_quasi_extreme(c: ExtremalChannel) -> bool:
-    """True when sin(theta) = sin(phi): the ellipsoid touches the Bloch
-    sphere at exactly two points and the map is not a true extreme point."""
-    return quasi_extreme_sines(math.sin(c.phi), math.sin(c.theta))
-
-
 def quasi_extreme_sines(sin_phi: float, sin_theta: float) -> bool:
-    """:func:`is_quasi_extreme` of the component with these sines."""
+    """True when sin(theta) = sin(phi): the ellipsoid of the component
+    with these sines touches the Bloch sphere at exactly two points and the
+    map is not a true extreme point."""
     return abs(sin_theta - sin_phi) <= QUASI_EXTREME_TOL
 
 
@@ -284,7 +191,7 @@ def parse_channel(text: str) -> QubitChannel:
             return QubitChannel.extremal(phi, theta)
         if head == "pauli":
             lam, t1, t2 = _parse_floats(body or "", ",", 3, text)
-            return QubitChannel.mixture(
+            return QubitChannel(
                 lam, ExtremalChannel(t1, t1), ExtremalChannel(t2, math.pi - t2)
             )
         if head == "mix":
@@ -298,7 +205,7 @@ def parse_channel(text: str) -> QubitChannel:
             (lam,) = _parse_floats(groups[0], ",", 1, text)
             p1, t1 = _parse_floats(groups[1], ",", 2, text)
             p2, t2 = _parse_floats(groups[2], ",", 2, text)
-            return QubitChannel.mixture(
+            return QubitChannel(
                 lam, ExtremalChannel(p1, t1), ExtremalChannel(p2, t2)
             )
     except ValueError as exc:

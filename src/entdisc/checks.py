@@ -40,7 +40,7 @@ def sample_extremal(rng) -> channels.QubitChannel:
 def sample_mixture(rng) -> channels.QubitChannel:
     lam = float(rng.uniform(0.0, 1.0))
     p1, t1, p2, t2 = rng.uniform(0.0, math.pi, size=4)
-    return channels.QubitChannel.mixture(
+    return channels.QubitChannel(
         lam,
         channels.ExtremalChannel(float(p1), float(t1)),
         channels.ExtremalChannel(float(p2), float(t2)),
@@ -64,6 +64,13 @@ def _require_samples(samples: int) -> None:
 
 def _draw_pairs(samples: int, rng, sample) -> list:
     return [(sample(rng), sample(rng)) for _ in range(samples)]
+
+
+def _alternating_pairs(rng, count: int):
+    """``count`` seeded pairs: extremal pairs at even k, mixtures at odd k."""
+    for k in range(count):
+        sample = sample_extremal if k % 2 == 0 else sample_mixture
+        yield sample(rng), sample(rng)
 
 
 def _seesaw_steps(results) -> dict:
@@ -197,13 +204,8 @@ def check_tree(
     that retains no sample checked nothing and does not pass.
     """
     _require_samples(samples)
-    rng = _rng(seed)
     kept = []
-    for k in range(samples):
-        if k % 2 == 0:
-            c1, c2 = sample_extremal(rng), sample_extremal(rng)
-        else:
-            c1, c2 = sample_mixture(rng), sample_mixture(rng)
+    for c1, c2 in _alternating_pairs(_rng(seed), samples):
         cls = discrim.classify_pair(c1, c2)
         if cls.margins and min(abs(v) for v in cls.margins.values()) < TREE_SLACK:
             continue
@@ -243,12 +245,7 @@ def find_useful_pair(
     seed: int = 2026, min_gap: float = 0.05
 ) -> tuple[channels.QubitChannel, channels.QubitChannel]:
     """First seeded random pair the classifier marks useful by a clear gap."""
-    rng = _rng(seed)
-    for k in range(10000):
-        if k % 2 == 0:
-            c1, c2 = sample_extremal(rng), sample_extremal(rng)
-        else:
-            c1, c2 = sample_mixture(rng), sample_mixture(rng)
+    for c1, c2 in _alternating_pairs(_rng(seed), 10000):
         cls = discrim.classify_pair(c1, c2)
         if cls.useful and cls.margins.get("value_gap", 0.0) > min_gap:
             return c1, c2

@@ -299,7 +299,7 @@ def cmd_sweep(args) -> int:
         for v2 in (grids[1][0], grids[1][-1]):
             set_cell(v1, v2)
             for lam, phi, theta, phi_p, theta_p in (channel1(values), channel2(values)):
-                channels.QubitChannel.mixture(
+                channels.QubitChannel(
                     lam,
                     channels.ExtremalChannel(phi, theta),
                     channels.ExtremalChannel(phi_p, theta_p),

@@ -574,7 +574,7 @@ def optimal_entangled_probe(
     c1, c2, cfg: SearchConfig = DEFAULT_CONFIG
 ) -> tuple[PureState, DistanceResult]:
     """Best probe from the restricted search, with its achieved distance."""
-    result = _grid_searches(_superops([(c1, c2)]), cfg, bloch=False)[0][0]
+    result = brute_max_entangled(c1, c2, cfg)
     t = result.arg
     return PureState.schmidt(math.sqrt(1.0 - t), math.sqrt(t)), result
 
@@ -582,9 +582,8 @@ def optimal_entangled_probe(
 def _helstrom_eigen(delta) -> tuple[Measurement, float]:
     """The :func:`helstrom` measurement of ``delta`` and its trace norm,
     both from one eigensystem."""
-    delta = smallmat.check_hermitian(delta, tol=1e-10)
     vals, vecs = smallmat.hermitian_eigensystem(delta)
-    dim = delta.shape[0]
+    dim = len(vals)
     plus = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         if vals[i] > 0.0:
@@ -599,8 +598,11 @@ def _helstrom_eigen(delta) -> tuple[Measurement, float]:
 def helstrom(delta) -> Measurement:
     """Minimum-error measurement for a Hermitian output difference.
 
-    The plus projector spans the strictly positive eigenspace; null
-    directions go to the minus projector so results are deterministic.
+    ``delta`` is a 2x2 or 4x4 matrix; one that departs from Hermiticity
+    by more than smallmat.HERMITICITY_TOL (1e-12) in any entry raises
+    ValueError.  The plus projector spans the strictly positive
+    eigenspace; null directions go to the minus projector so results are
+    deterministic.
     """
     return _helstrom_eigen(delta)[0]
 

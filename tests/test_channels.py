@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entdisc import channels, smallmat
+from entdisc import channels, oracle, smallmat
 from entdisc.channels import ExtremalChannel, QubitChannel
 
 
@@ -22,24 +22,31 @@ def bell_phi_plus():
     return np.outer(v, v.conj())
 
 
+def kraus_pair(e, w=1.0):
+    """w K0 and w K1 of the extremal component ``e``, from the paper's
+    formulas K0 = diag(cos theta, cos phi), K1 = antidiag(sin phi, sin theta)."""
+    return np.array([
+        [[w * math.cos(e.theta), 0.0], [0.0, w * math.cos(e.phi)]],
+        [[0.0, w * math.sin(e.phi)], [w * math.sin(e.theta), 0.0]],
+    ], dtype=complex)
+
+
 class TestKrausOf:
     def test_identity_channel(self):
-        ks = channels.kraus_of(ExtremalChannel(0.0, 0.0))
-        np.testing.assert_allclose(ks.operators[0], np.eye(2))
-        np.testing.assert_allclose(ks.operators[1], np.zeros((2, 2)))
+        # K0 = I, and the all-zero K1 is dropped
+        ops = channels.kraus_operators(QubitChannel.extremal(0.0, 0.0))
+        np.testing.assert_array_equal(ops, [np.eye(2)])
 
     def test_full_amplitude_damping(self):
-        ks = channels.kraus_of(ExtremalChannel(math.pi / 2, 0.0))
-        np.testing.assert_allclose(ks.operators[0], np.diag([1.0, 0.0]), atol=1e-15)
-        np.testing.assert_allclose(
-            ks.operators[1], [[0.0, 1.0], [0.0, 0.0]], atol=1e-15
-        )
+        k0, k1 = channels.kraus_operators(QubitChannel.extremal(math.pi / 2, 0.0))
+        np.testing.assert_allclose(k0, np.diag([1.0, 0.0]), atol=1e-15)
+        np.testing.assert_allclose(k1, [[0.0, 1.0], [0.0, 0.0]], atol=1e-15)
 
     def test_partial_damping(self):
-        ks = channels.kraus_of(ExtremalChannel(math.pi / 3, 0.0))
-        np.testing.assert_allclose(ks.operators[0], np.diag([1.0, 0.5]), atol=1e-15)
+        k0, k1 = channels.kraus_operators(QubitChannel.extremal(math.pi / 3, 0.0))
+        np.testing.assert_allclose(k0, np.diag([1.0, 0.5]), atol=1e-15)
         np.testing.assert_allclose(
-            ks.operators[1], [[0.0, math.sqrt(3) / 2], [0.0, 0.0]], atol=1e-15
+            k1, [[0.0, math.sqrt(3) / 2], [0.0, 0.0]], atol=1e-15
         )
 
     def test_angle_range_enforced(self):
@@ -54,24 +61,21 @@ class TestKrausOfMixture:
         c = QubitChannel.extremal(1.0, 0.4)
         rho = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
         out_mix = act(c, rho)
-        ks = channels.kraus_of(c.first)
-        expected = sum(k @ rho @ k.conj().T for k in ks.operators)
+        expected = sum(k @ rho @ k.conj().T for k in kraus_pair(c.first))
         np.testing.assert_allclose(out_mix, expected, atol=1e-12)
 
     def test_equal_components_act_like_one(self):
         e = ExtremalChannel(0.9, 0.2)
-        c = QubitChannel.mixture(0.5, e, e)
+        c = QubitChannel(0.5, e, e)
         rho = np.diag([0.25, 0.75]).astype(complex)
-        one = sum(
-            k @ rho @ k.conj().T for k in channels.kraus_of(e).operators
-        )
+        one = sum(k @ rho @ k.conj().T for k in kraus_pair(e))
         np.testing.assert_allclose(act(c, rho), one, atol=1e-12)
 
     def test_pauli_channel_mixture(self):
         # lam * N(theta, theta) + (1-lam) * N(theta2, pi - theta2) has all
         # four Kraus operators proportional to Pauli matrices
         theta, theta2 = 0.6, 1.1
-        c = QubitChannel.mixture(
+        c = QubitChannel(
             0.3, ExtremalChannel(theta, theta), ExtremalChannel(theta2, math.pi - theta2)
         )
         paulis = [
@@ -80,23 +84,27 @@ class TestKrausOfMixture:
             np.array([[0, -1j], [1j, 0]], dtype=complex),
             np.array([[1, 0], [0, -1]], dtype=complex),
         ]
-        for op in channels.kraus_of_mixture(c).operators:
+        ops = channels.kraus_operators(c)
+        assert len(ops) == 4
+        for op in ops:
             scale = np.max(np.abs(op))
             assert scale > 0
             overlaps = [abs(np.trace(p.conj().T @ op)) / (2 * scale) for p in paulis]
             assert max(overlaps) == pytest.approx(1.0, abs=1e-12)
-        mapped = channels.affine_map(c)
-        assert np.allclose(mapped.t, 0.0, atol=1e-12)
+        # unital: no translation of the Bloch ball
+        np.testing.assert_allclose(affine(c)[1:, 0], 0.0, atol=1e-12)
 
     def test_completeness(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            c = QubitChannel.mixture(
+            c = QubitChannel(
                 float(rng.uniform(0, 1)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
             )
-            assert channels.kraus_of_mixture(c).completeness_deviation() < 1e-10
+            ops = channels.kraus_operators(c)
+            total = np.einsum("kba,kbc->ac", ops.conj(), ops)
+            assert np.max(np.abs(total - np.eye(2))) < 1e-10
 
 
 class TestKrausOperators:
@@ -112,9 +120,10 @@ class TestKrausOperators:
 
     def test_rounding_residue_is_dropped(self):
         # cos(pi/2) is about 6e-17: the K0 of the X-flip is all rounding
-        k0, k1 = channels.kraus_of(ExtremalChannel(math.pi / 2, math.pi / 2)).operators
+        flip = ExtremalChannel(math.pi / 2, math.pi / 2)
+        k0, k1 = kraus_pair(flip)
         assert 0.0 < np.max(np.abs(k0)) <= 1e-15
-        ops = self.kept(QubitChannel.extremal(math.pi / 2, math.pi / 2))
+        ops = self.kept(QubitChannel.extremal(flip.phi, flip.theta))
         np.testing.assert_array_equal(ops, [k1])
 
     def test_threshold_is_strict(self):
@@ -125,16 +134,18 @@ class TestKrausOperators:
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_zero_weight_half_is_dropped(self, lam):
         first, second = ExtremalChannel(0.7, 0.3), ExtremalChannel(2.1, 1.2)
-        ops = self.kept(QubitChannel.mixture(lam, first, second))
+        ops = self.kept(QubitChannel(lam, first, second))
         kept = first if lam == 1.0 else second
-        np.testing.assert_array_equal(ops, channels.kraus_of(kept).operators)
+        np.testing.assert_array_equal(ops, kraus_pair(kept))
 
     def test_generic_mixture_keeps_all_four(self):
-        c = QubitChannel.mixture(
-            0.4, ExtremalChannel(0.7, 0.3), ExtremalChannel(2.1, 1.2)
-        )
+        first, second = ExtremalChannel(0.7, 0.3), ExtremalChannel(2.1, 1.2)
+        c = QubitChannel(0.4, first, second)
         np.testing.assert_array_equal(
-            self.kept(c), channels.kraus_of_mixture(c).operators
+            self.kept(c),
+            np.concatenate([
+                kraus_pair(first, math.sqrt(0.4)), kraus_pair(second, math.sqrt(0.6))
+            ]),
         )
 
     def test_superoperator_matches_kron_reference(self):
@@ -145,11 +156,14 @@ class TestKrausOperators:
             e1 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
             e2 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
             chans += [QubitChannel.extremal(e1.phi, e1.theta),
-                      QubitChannel.mixture(float(rng.uniform(0, 1)), e1, e2),
-                      QubitChannel.mixture(float(rng.choice([0.0, 1.0])), e1, e2)]
+                      QubitChannel(float(rng.uniform(0, 1)), e1, e2),
+                      QubitChannel(float(rng.choice([0.0, 1.0])), e1, e2)]
         for c in chans:
             ops = [
-                op for op in channels.kraus_of_mixture(c).operators
+                op
+                for w, e in ((math.sqrt(c.lam), c.first),
+                             (math.sqrt(1.0 - c.lam), c.second))
+                for op in kraus_pair(e, w)
                 if np.max(np.abs(op)) > 1e-15
             ]
             kron = [np.kron(np.eye(2), op) for op in ops]
@@ -184,7 +198,7 @@ class TestApply:
     def test_preserves_density_properties(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
-            c = QubitChannel.mixture(
+            c = QubitChannel(
                 float(rng.uniform(0, 1)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
@@ -193,7 +207,7 @@ class TestApply:
             v /= np.linalg.norm(v)
             out = act(c, np.outer(v, v.conj()))
             assert abs(np.trace(out).real - 1.0) < 1e-10
-            assert smallmat.hermitian_eigenvalues(out)[0] > -1e-10
+            assert smallmat.hermitian_eigensystem(out)[0][0] > -1e-10
 
 
 class TestApplyExtended:
@@ -229,7 +243,7 @@ class TestApplyExtended:
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            c = QubitChannel.mixture(
+            c = QubitChannel(
                 float(rng.uniform(0, 1)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
@@ -248,7 +262,7 @@ class TestSuperoperator:
     def test_matches_kraus_sum(self):
         rng = np.random.default_rng(24)
         for _ in range(30):
-            c = QubitChannel.mixture(
+            c = QubitChannel(
                 float(rng.uniform(0, 1)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
@@ -276,7 +290,7 @@ class TestSuperoperator:
             e1 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
             e2 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
             chans += [QubitChannel.extremal(e1.phi, e1.theta),
-                      QubitChannel.mixture(float(rng.uniform(0, 1)), e1, e2)]
+                      QubitChannel(float(rng.uniform(0, 1)), e1, e2)]
         smats = []
         for c in chans:
             ops = channels.kraus_operators(c)
@@ -304,16 +318,41 @@ class TestSuperoperator:
                 np.testing.assert_allclose(out, np.outer(flipped, flipped).reshape(-1))
 
 
+def affine(c):
+    """The affine Bloch picture the oracle reads off the superoperator: the
+    4 x 4 real matrix taking (1, x, y, z) of rho to (1, x, y, z) of c(rho)."""
+    return 2.0 * np.real(
+        oracle._PAULI_COORDS @ channels.superoperator(c) @ oracle._PAULI_HALVES
+    )
+
+
+def paper_affine(c):
+    """The same matrix from the paper's formulas: an extremal component
+    scales (x, y, z) by (cos(phi - theta), cos(phi + theta), their product)
+    and shifts z by sin(phi - theta) sin(phi + theta); a mixture combines
+    its components convexly."""
+    def component(e):
+        l1, l2 = math.cos(e.phi - e.theta), math.cos(e.phi + e.theta)
+        m = np.diag([1.0, l1, l2, l1 * l2])
+        m[3, 0] = math.sin(e.phi - e.theta) * math.sin(e.phi + e.theta)
+        return m
+
+    return c.lam * component(c.first) + (1.0 - c.lam) * component(c.second)
+
+
 class TestAffineMap:
     def test_identity(self):
-        m = channels.affine_map(QubitChannel.extremal(0, 0))
-        assert m.lambdas == (1.0, 1.0, 1.0)
-        assert m.t == (0.0, 0.0, 0.0)
+        c = QubitChannel.extremal(0, 0)
+        np.testing.assert_array_equal(affine(c), np.eye(4))
+        np.testing.assert_array_equal(paper_affine(c), np.eye(4))
 
     def test_full_damping(self):
-        m = channels.affine_map(QubitChannel.extremal(math.pi / 2, 0))
-        np.testing.assert_allclose(m.lambdas, (0.0, 0.0, 0.0), atol=1e-15)
-        np.testing.assert_allclose(m.t, (0.0, 0.0, 1.0), atol=1e-15)
+        c = QubitChannel.extremal(math.pi / 2, 0)
+        # every Bloch vector goes to the ground state z = 1
+        expected = np.zeros((4, 4))
+        expected[0, 0] = expected[3, 0] = 1.0
+        np.testing.assert_allclose(affine(c), expected, atol=1e-15)
+        np.testing.assert_allclose(paper_affine(c), expected, atol=1e-15)
 
     @staticmethod
     def _bloch(rho):
@@ -330,54 +369,56 @@ class TestAffineMap:
             np.array([[1, 0], [0, -1]], dtype=complex),
         ]
         for _ in range(40):
-            c = QubitChannel.mixture(
+            c = QubitChannel(
                 float(rng.uniform(0, 1)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
             )
-            m = channels.affine_map(c)
+            m = affine(c)
+            np.testing.assert_allclose(m, paper_affine(c), atol=1e-12)
             t = self._bloch(act(c, 0.5 * np.eye(2, dtype=complex)))
-            np.testing.assert_allclose(t, m.t, atol=1e-10)
+            np.testing.assert_allclose(t, m[1:, 0], atol=1e-10)
             for k, sigma in enumerate(paulis):
                 out = act(c, 0.5 * (np.eye(2, dtype=complex) + sigma))
-                col = self._bloch(out) - t
-                expected = np.zeros(3)
-                expected[k] = m.lambdas[k]
-                np.testing.assert_allclose(col, expected, atol=1e-10)
+                np.testing.assert_allclose(
+                    self._bloch(out) - t, m[1:, k + 1], atol=1e-10
+                )
 
     def test_image_inside_bloch_ball(self):
         rng = np.random.default_rng(25)
         c = QubitChannel.extremal(*rng.uniform(0, math.pi, 2))
-        m = channels.affine_map(c)
-        lam = np.array(m.lambdas)
-        t = np.array(m.t)
+        m = affine(c)
+        np.testing.assert_allclose(m, paper_affine(c), atol=1e-12)
         for _ in range(2000):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            assert np.linalg.norm(lam * v + t) <= 1.0 + 1e-12
+            assert np.linalg.norm(m[1:] @ np.concatenate([[1.0], v])) <= 1.0 + 1e-12
 
 
 class TestChoiMatrix:
     def test_extremal_choi_rank_at_most_two(self):
         rng = np.random.default_rng(28)
         for _ in range(50):
-            ks = channels.kraus_of(ExtremalChannel(*rng.uniform(0, math.pi, 2)))
-            vals = smallmat.hermitian_eigenvalues(channels.choi_matrix(ks))
+            c = QubitChannel.extremal(*rng.uniform(0, math.pi, 2))
+            choi = oracle._choi(channels.superoperator(c)[None])[0]
+            vals = smallmat.hermitian_eigensystem(choi)[0]
             assert vals[0] > -1e-10
             assert vals[1] < 1e-9
 
 
+def quasi_extreme(e):
+    return channels.quasi_extreme_sines(math.sin(e.phi), math.sin(e.theta))
+
+
 class TestQuasiExtreme:
     def test_equal_angles(self):
-        assert channels.is_quasi_extreme(ExtremalChannel(math.pi / 4, math.pi / 4))
+        assert quasi_extreme(ExtremalChannel(math.pi / 4, math.pi / 4))
 
     def test_supplementary_angles(self):
-        assert channels.is_quasi_extreme(
-            ExtremalChannel(math.pi / 4, 3 * math.pi / 4)
-        )
+        assert quasi_extreme(ExtremalChannel(math.pi / 4, 3 * math.pi / 4))
 
     def test_generic_pair_not_quasi(self):
-        assert not channels.is_quasi_extreme(ExtremalChannel(math.pi / 3, math.pi / 6))
+        assert not quasi_extreme(ExtremalChannel(math.pi / 3, math.pi / 6))
 
 
 class TestLiterals:
@@ -404,8 +445,8 @@ class TestLiterals:
 
     def test_pauli_preset_components_quasi_extreme(self):
         c = channels.parse_channel("pauli(0.4,0.5,1.0)")
-        assert channels.is_quasi_extreme(c.first)
-        assert channels.is_quasi_extreme(c.second)
+        assert quasi_extreme(c.first)
+        assert quasi_extreme(c.second)
 
     def test_angle_out_of_range_names_literal(self):
         with pytest.raises(channels.ChannelParseError, match="extremal"):

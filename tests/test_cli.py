@@ -279,7 +279,7 @@ class TestSweep:
             for v2 in axes[1][1]:
                 cell = values | {axes[0][0]: v1, axes[1][0]: v2}
                 c1, c2 = (
-                    channels.QubitChannel.mixture(
+                    channels.QubitChannel(
                         cell[f"lambda{i}"],
                         channels.ExtremalChannel(cell[f"phi{i}"], cell[f"theta{i}"]),
                         channels.ExtremalChannel(cell[f"phi{i}p"], cell[f"theta{i}p"]),

@@ -284,7 +284,7 @@ class TestProfiles:
                 p = discrim.compute_params(c1, c2)
             elif k % 3 == 1:
                 c1, c2 = (
-                    QubitChannel.mixture(
+                    QubitChannel(
                         float(rng.uniform()),
                         ExtremalChannel(*rng.uniform(0, math.pi, 2)),
                         ExtremalChannel(*rng.uniform(0, math.pi, 2)),
@@ -776,7 +776,7 @@ class TestClassify:
         assert cls.node == "T1"
 
     def test_pauli_mixture_not_short_circuited(self):
-        c1 = QubitChannel.mixture(
+        c1 = QubitChannel(
             0.4, ExtremalChannel(0.5, 0.5), ExtremalChannel(1.0, math.pi - 1.0)
         )
         c2 = QubitChannel.extremal(0.7, 0.7)

@@ -68,3 +68,22 @@ def test_submodules_resolve_on_first_use():
         "print(before, hasattr(entdisc, 'no_such_module'))\n"
     )
     assert run_fresh(code) == "False False"
+
+
+def test_benchmark_layers_resolve():
+    # the traced benchmark wraps the public functions of entdisc.<layer>
+    # for each of its layers, and splits the named functions into rows
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"entdisc.{layer}")
+    for name in tracing.LABELS:
+        layer, attr = name.split(".")
+        assert layer in tracing.LAYERS
+        assert callable(getattr(importlib.import_module(f"entdisc.{layer}"), attr))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entdisc import channels, checks, discrim, oracle, smallmat
+from entdisc import channels, checks, discrim, oracle
 from entdisc.channels import ExtremalChannel, QubitChannel
 from entdisc.oracle import Measurement, PureState, SearchConfig
 
@@ -23,10 +23,16 @@ def bloch_probe(polar, azimuth):
     ))
 
 
+def norm1(d):
+    """||d||_1 of a Hermitian matrix: the sum of its absolute eigenvalues,
+    from LAPACK's eigh, the solver behind the library's trace norms."""
+    return float(np.abs(np.linalg.eigh(d)[0]).sum())
+
+
 def random_pair(rng, mixtures=False):
     if mixtures:
         def make():
-            return QubitChannel.mixture(
+            return QubitChannel(
                 float(rng.uniform(0, 1)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
                 ExtremalChannel(*rng.uniform(0, math.pi, 2)),
@@ -124,7 +130,7 @@ class TestDeltas:
             d2 = oracle.delta(c1, c2, psi)
             d4 = oracle.delta(c1, c2, probe)
             assert abs(
-                smallmat.trace_norm(d4) - smallmat.trace_norm(d2)
+                norm1(d4) - norm1(d2)
             ) < 1e-10
 
     def test_traceless(self):
@@ -148,7 +154,7 @@ class TestDeltas:
             norms = []
             for eta in np.linspace(0, 2 * math.pi, 7):
                 probe = PureState.schmidt(math.sqrt(1 - t), math.sqrt(t) * np.exp(1j * eta))
-                norms.append(smallmat.trace_norm(oracle.delta(c1, c2, probe)))
+                norms.append(norm1(oracle.delta(c1, c2, probe)))
             assert max(norms) - min(norms) < 1e-12
 
     def test_pair_chart_covers_every_state(self):
@@ -170,10 +176,10 @@ class TestDeltas:
                     azim = (np.angle(r0[1]) - np.angle(r0[0])) % (2.0 * math.pi)
                     point = oracle._pair_states(np.array([[s[1] ** 2, polar, azim]]))[0]
                     assert np.linalg.norm(point) == pytest.approx(1.0, abs=1e-14)
-                    chart = smallmat.trace_norm(
+                    chart = norm1(
                         oracle.delta(c1, c2, PureState(tuple(point)))
                     )
-                    state = smallmat.trace_norm(
+                    state = norm1(
                         oracle.delta(c1, c2, PureState(tuple(amps)))
                     )
                     assert abs(chart - state) < 1e-12
@@ -268,7 +274,7 @@ class TestBruteMaxEntangled:
         rng = np.random.default_rng(55)
         c1, c2 = random_pair(rng)
         probe, res = oracle.optimal_entangled_probe(c1, c2, FAST)
-        achieved = smallmat.trace_norm(oracle.delta(c1, c2, probe))
+        achieved = norm1(oracle.delta(c1, c2, probe))
         assert achieved == pytest.approx(res.value, abs=1e-9)
 
     @pytest.mark.parametrize("grid", [96, 128, 256])
@@ -306,7 +312,19 @@ class TestHelstrom:
             delta = oracle.delta(c1, c2, psi)
             m = oracle.helstrom(delta)
             bias = np.trace(delta @ (m.plus_projector - m.minus_projector)).real
-            assert abs(bias - smallmat.trace_norm(delta)) < 1e-9
+            assert abs(bias - norm1(delta)) < 1e-9
+
+    def test_hermiticity_tolerance_is_1e_12(self):
+        # the one check is smallmat's; a deviation above it raises, one
+        # below it is accepted
+        near = np.array([[0.5, 0.2], [0.2, -0.5]], dtype=complex)
+        near[0, 1] += 5e-11
+        with pytest.raises(ValueError, match="max deviation 5.000e-11"):
+            oracle.helstrom(near)
+        near[0, 1] = 0.2 + 5e-13
+        m = oracle.helstrom(near)
+        assert m.plus_projector.shape == (2, 2)
+        np.testing.assert_allclose(np.trace(m.plus_projector), 1.0, atol=1e-12)
 
     def test_projector_validation(self):
         bad = np.array([[0.5, 0], [0, 0.5]], dtype=complex)
@@ -355,7 +373,7 @@ class TestSimulate:
             amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             probe = PureState(tuple(amps / np.linalg.norm(amps)))
             distance, _ = oracle.simulate(c1, c2, probe, 10, 1)
-            assert distance == smallmat.trace_norm(oracle.delta(c1, c2, probe))
+            assert distance == norm1(oracle.delta(c1, c2, probe))
 
     def test_trials_validated(self):
         ident, damp, probe = self._damping_setup()
@@ -435,12 +453,12 @@ class TestConvergence:
         # maximum is the product probe |00>: from the best interior grid
         # point, plain see-saw steps shrink t by about 5% each and ran
         # 1856 steps before stopping short of the endpoint
-        c1 = QubitChannel.mixture(
+        c1 = QubitChannel(
             0.13023154547026672,
             ExtremalChannel(2.6772833006734484, 0.8077800216169402),
             ExtremalChannel(1.0357042591200658, 1.478547736364059),
         )
-        c2 = QubitChannel.mixture(
+        c2 = QubitChannel(
             0.7608705236667526,
             ExtremalChannel(2.8553474380054444, 0.12650898375698397),
             ExtremalChannel(2.105489668859063, 0.8221248033549091),
@@ -551,9 +569,10 @@ class TestRestrictedBlocks:
     def test_choi_matrix_is_the_reshuffled_superoperator(self):
         pairs = self.pairs()
         for (c1, c2), choi in zip(pairs, oracle._choi(oracle._superops(pairs))):
-            reference = channels.choi_matrix(
-                channels.kraus_of_mixture(c1)
-            ) - channels.choi_matrix(channels.kraus_of_mixture(c2))
+            # J(N) = sum_k vec(K_k) vec(K_k)^dag, vec stacking columns
+            vecs = [channels.kraus_operators(c).transpose(0, 2, 1).reshape(-1, 4)
+                    for c in (c1, c2)]
+            reference = vecs[0].T @ vecs[0].conj() - vecs[1].T @ vecs[1].conj()
             assert np.max(np.abs(choi - reference)) <= 1e-15
 
     def test_rejects_a_difference_that_is_not_z_covariant(self):

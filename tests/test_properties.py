@@ -36,7 +36,7 @@ def build(spec, swap_angles=False):
     )
     if lam == 1.0:
         return QubitChannel.extremal(first.phi, first.theta)
-    return QubitChannel.mixture(lam, first, second)
+    return QubitChannel(lam, first, second)
 
 
 def settled(cls) -> bool:

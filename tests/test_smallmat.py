@@ -6,6 +6,16 @@ from entdisc import smallmat
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+def eigenvalues(h):
+    return smallmat.hermitian_eigensystem(h)[0]
+
+
+def norm1(h):
+    """Sum of absolute eigenvalues, as the oracle reads a trace norm off
+    the eigensystem."""
+    return float(np.sum(np.abs(eigenvalues(h))))
+
+
 def _random_hermitian(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (x + x.conj().T)
@@ -14,11 +24,11 @@ def _random_hermitian(rng, dim):
 class TestEigenvalues:
     def test_diagonal(self):
         np.testing.assert_allclose(
-            smallmat.hermitian_eigenvalues(np.diag([1.0, -1.0])), [-1, 1]
+            eigenvalues(np.diag([1.0, -1.0])), [-1, 1]
         )
 
     def test_pauli_x(self):
-        np.testing.assert_allclose(smallmat.hermitian_eigenvalues(X), [-1, 1])
+        np.testing.assert_allclose(eigenvalues(X), [-1, 1])
 
     def test_schmidt_block_spectrum(self):
         # 4x4 output difference block for the balanced Schmidt probe with
@@ -26,19 +36,24 @@ class TestEigenvalues:
         m = np.zeros((4, 4), dtype=complex)
         m[0, 3] = m[3, 0] = -0.5
         m[3, 3] = -0.5
-        vals = smallmat.hermitian_eigenvalues(m)
+        vals = eigenvalues(m)
         expected = sorted([(-1 - 5**0.5) / 4, 0.0, 0.0, (-1 + 5**0.5) / 4])
         np.testing.assert_allclose(vals, expected, atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            smallmat.hermitian_eigenvalues(np.array([[0, 1], [0, 0]]))
+            eigenvalues(np.array([[0, 1], [0, 0]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 3), (8, 8), (2, 2, 2)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="shape|dimensions"):
+            eigenvalues(np.zeros(shape))
 
     def test_ascending_with_multiplicity(self):
         rng = np.random.default_rng(11)
         for dim in (2, 4):
             for _ in range(200):
-                vals = smallmat.hermitian_eigenvalues(_random_hermitian(rng, dim))
+                vals = eigenvalues(_random_hermitian(rng, dim))
                 assert np.all(np.diff(vals) >= -1e-14)
 
     def test_trace_equals_eigenvalue_sum(self):
@@ -46,7 +61,7 @@ class TestEigenvalues:
         for dim in (2, 4):
             for _ in range(200):
                 h = _random_hermitian(rng, dim)
-                vals = smallmat.hermitian_eigenvalues(h)
+                vals = eigenvalues(h)
                 assert abs(np.sum(vals) - np.trace(h).real) < 1e-10
 
     def test_unitary_conjugation_invariance(self):
@@ -59,8 +74,8 @@ class TestEigenvalues:
                 gv, gw = smallmat.hermitian_eigensystem(g)
                 u = gw @ np.diag(np.exp(1j * gv)) @ gw.conj().T
                 conj = u @ h @ u.conj().T
-                before = smallmat.hermitian_eigenvalues(h)
-                after = smallmat.hermitian_eigenvalues(conj)
+                before = eigenvalues(h)
+                after = eigenvalues(conj)
                 assert np.max(np.abs(before - after)) < 1e-10
 
     def test_eigensystem_residual(self):
@@ -75,20 +90,20 @@ class TestEigenvalues:
 
 class TestTraceNorm:
     def test_zero(self):
-        assert smallmat.trace_norm(np.zeros((2, 2))) == 0.0
+        assert norm1(np.zeros((2, 2))) == 0.0
 
     def test_diagonal(self):
-        assert smallmat.trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
+        assert norm1(np.diag([1.0, -1.0])) == pytest.approx(2.0)
 
     def test_schmidt_block(self):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 3] = m[3, 0] = -0.5
         m[3, 3] = -0.5
-        assert smallmat.trace_norm(m) == pytest.approx(5**0.5 / 2, abs=1e-12)
+        assert norm1(m) == pytest.approx(5**0.5 / 2, abs=1e-12)
 
     def test_dominates_trace(self):
         rng = np.random.default_rng(15)
         for dim in (2, 4):
             for _ in range(200):
                 h = _random_hermitian(rng, dim)
-                assert smallmat.trace_norm(h) >= abs(np.trace(h).real) - 1e-12
+                assert norm1(h) >= abs(np.trace(h).real) - 1e-12
