@@ -6,13 +6,16 @@ channels' superoperators (:func:`channels.superoperator`), so the results
 serve as an independent check on the closed forms and on the decision
 tree.  The grids call no eigensolver: each grid output is made of
 Hermitian 2x2 blocks, and a block's trace norm is a closed form in its
-Pauli coordinates (:func:`_tracenorm2`).  The Bloch grid is evaluated one
-pair at a time: a pair's grid values are a few n^2-long arrays, so a
-check's memory does not grow with its number of pairs, and batching the
-pairs measured no faster.  It keeps its points as four rows of coordinates
-(1, x, y, z), so each Pauli coordinate of a pair's outputs is one
-contiguous row.  The restricted grid is n points a pair, and runs for all
-the pairs of a check as one (pairs x n) array.
+Pauli coordinates (:func:`_tracenorm2`).  The Bloch grid is 4 n of its n^2
+points a pair: along a polar row of the (polar, azimuth) grid a family
+difference's value is monotone in cos^2 of the azimuth, so each row is
+evaluated only at its extreme-cos^2 azimuths.  It runs one pair at a time,
+so a check's memory does not grow with its number of pairs, and keeps its
+points as four rows of coordinates (1, x, y, z), so each Pauli coordinate
+of a pair's outputs is one contiguous row.  The restricted grid is n points
+a pair, and runs for all the pairs of a check as one (pairs x n) array.
+Both grids take the lowest index among the points tied, within 16 eps,
+for their best value (:func:`_first_best`).
 
 The three searches share one maximizer, :func:`_seesaw`, whose rows each
 carry their own superoperator and their own probe basis.  A check runs the
@@ -34,7 +37,7 @@ fixed.  The searches differ only in the probe subspace and the starts:
 
 * Bloch: all of C^2, from the best point of a (polar, azimuth) grid, its
   trace norms read off the affine Bloch picture of the qubit
-  superoperator (:func:`_bloch_values`).  Its see-saw runs on the product
+  superoperator (:func:`_bloch_rows`).  Its see-saw runs on the product
   probes |0> (x) psi in the basis {|00>, |01>}: (id (x) Delta)(|0><0| (x)
   psi psi^dag) = |0><0| (x) Delta(psi psi^dag), with the same trace norm;
 * restricted: span{|00>, |11>}, from the best interior point of a grid
@@ -325,19 +328,48 @@ _PAULI_HALVES = _PAULI.reshape(4, 4).T / 2.0
 _PAULI_COORDS = _PAULI.conj().reshape(4, 4) / 2.0
 
 
+# Grid values are trace norms of at most 2, computed from entries of at most
+# 1, so their rounding is absolute: points that tie in exact arithmetic (a
+# flat restricted row, a profile symmetric in t <-> 1 - t, mirror azimuths)
+# were measured up to 8 eps apart, on 12 000 seeded quasi-extreme pairs at six
+# grid sizes.  Points within twice that of a row's best count as tied.
+_TIE_TOL = 16.0 * np.finfo(float).eps
+
+
+def _first_best(values: np.ndarray) -> np.ndarray:
+    """The lowest index along the last axis of ``values`` whose value is
+    within _TIE_TOL of the largest there, so that a pick among tied grid
+    points is a property of the grid, not of its rounding."""
+    top = np.max(values, axis=-1, keepdims=True)
+    return np.argmax(values >= top - _TIE_TOL, axis=-1)
+
+
+# the entries of the real affine Bloch matrix of a qubit superoperator,
+# real(_PAULI_COORDS @ L @ _PAULI_HALVES), that are zero for a difference of
+# two family channels: all but the diagonal and the z shifts (0, 3), (3, 0)
+_OFF_AXES = ~np.eye(4, dtype=bool)
+_OFF_AXES[[0, 3], [3, 0]] = False
+
+
 @functools.lru_cache(maxsize=4)
 def _bloch_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform (polar, azimuth) grid with n points per axis, and the
-    affine Bloch coordinates r = (1, x, y, z) of its points, read-only.
+    """The points of the uniform (polar, azimuth) grid with n points per
+    axis that the Bloch rows evaluate, and their affine Bloch coordinates
+    r = (1, x, y, z), read-only.
 
-    r is stored as four rows of n^2 coordinates, one per Pauli component,
-    not as one row of four per point: each Pauli coordinate of the outputs
-    is then one contiguous row, and no reduction runs over a short strided
-    axis of length three.
+    At each of the n polar angles only the azimuths whose cos^2 is within
+    1e-12 of the grid's largest or smallest value are kept, mirror images
+    included: 0, n/4, n/2 and 3n/4 when n % 4 == 0.  The points keep the
+    flat (polar-major) order of the full grid, so the lowest index among
+    them is the lowest flat index.  r is stored as four rows, one per Pauli
+    component, so each Pauli coordinate of the outputs is one contiguous
+    row.
     """
     polar = np.linspace(0.0, math.pi, n)
     azim = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    mesh = np.meshgrid(polar, azim, indexing="ij")
+    cos2 = np.cos(azim) ** 2
+    kept = azim[(cos2 >= cos2.max() - 1e-12) | (cos2 <= cos2.min() + 1e-12)]
+    mesh = np.meshgrid(polar, kept, indexing="ij")
     params = np.stack([g.ravel() for g in mesh], axis=1)
     p, a = params[:, 0], params[:, 1]
     x, y = np.sin(p) * np.cos(a), np.sin(p) * np.sin(a)
@@ -353,35 +385,39 @@ def _tracenorm2(c0, x, y, z):
     return 2.0 * np.maximum(np.abs(c0), np.sqrt(x * x + y * y + z * z))
 
 
-def _bloch_values(lmat: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """||Delta(rho)||_1 at Bloch points r = (1, x, y, z), one per column.
-
-    rho = sum_j r_j sigma_j / 2, so D = c0 I + c.sigma is affine in r, and
-    its Pauli coordinates are those of the four outputs Delta(sigma_j / 2)
-    times r.  Each coordinate is one contiguous row, so |c| is two
-    elementwise sums, not a strided reduction.
-    """
-    return _tracenorm2(*(np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES) @ r))
-
-
 def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig):
     """The Bloch rows of a see-saw, one per qubit superoperator of ``lmats``.
 
     Each row starts at the best point of the uniform (polar, azimuth) grid
-    with cfg.grid_points per axis, read off the affine picture one row at
-    a time, as the product probe |0> (x) psi, which the see-saw moves in
-    the basis {|00>, |01>}.  Returns the starts, the best grid values and
-    their states (the starts).
+    with cfg.grid_points per axis, as the product probe |0> (x) psi, which
+    the see-saw moves in the basis {|00>, |01>}; the lowest flat index wins
+    ties (:func:`_first_best`).  Returns the starts, the best grid values
+    and their states (the starts).
 
-    A row's grid values take 4 n^2 floats at most; evaluating all rows in
-    one array would hold rows x 4 n^2 at once for no measured gain, so the
-    peak memory here does not grow with the number of rows.
+    The values are read off the affine Bloch picture: rho = sum_j r_j
+    sigma_j / 2, so Delta(rho) = c0 I + c.sigma with (c0, c) = A r, A the
+    real part of _PAULI_COORDS @ L @ _PAULI_HALVES.  K0 is diagonal and K1
+    anti-diagonal, so for a difference of two family channels A is zero
+    but for its diagonal (d, a1, a2, a3) and its z shifts (_OFF_AXES; the
+    paper's Lambda and t): c0 and c3 depend on z = cos p alone.  At polar
+    angle p, |c|^2 = sin^2 p (a1^2 cos^2 a + a2^2 sin^2 a) + c3^2 is
+    monotone in cos^2 of the azimuth a, so each polar row is evaluated only
+    where the grid's cos^2 is largest or smallest (:func:`_bloch_grid`):
+    4 n points instead of n^2 when n % 4 == 0.  Raises ``ValueError`` when
+    an A has an entry off that pattern.
+
+    The rows are evaluated one at a time, so the peak memory here does not
+    grow with the number of rows.
     """
     params, r = _bloch_grid(cfg.grid_points)
     tops, top_values = [], []
     for lmat in lmats:
-        values = _bloch_values(lmat, r)
-        tops.append(int(np.argmax(values)))
+        affine = np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES)
+        if np.any(affine[_OFF_AXES]):
+            raise ValueError("a difference is not axis-aligned: its affine Bloch "
+                             "matrix has entries off its diagonal and z shifts")
+        values = _tracenorm2(*(affine @ r))
+        tops.append(int(_first_best(values)))
         top_values.append(values[tops[-1]])
     starts = np.zeros((len(tops), 4), dtype=complex)
     starts[:, :2] = _bloch_states(params[tops])
@@ -416,8 +452,9 @@ def _restricted_rows(lmats: np.ndarray, cfg: SearchConfig):
     ``lmats``: each searches span{|00>, |11>} from the best interior point
     of a grid over the Schmidt weight t.  A product probe (t = 0 or 1) is a
     fixed point of the see-saw, so each row starts inside and keeps its
-    best grid value when that is higher; lower indices win ties.  Returns
-    the starts, the best grid values and their states.
+    best grid value when that is higher; the lowest index wins ties
+    (:func:`_first_best`).  Returns the starts, the best grid values and
+    their states.
 
     The grid is read off each pair's Choi matrix J, for all rows at once.
     The probe sqrt(1 - t)|00> + sqrt(t)|11> is sum_ab w_ab |aa><bb|, with
@@ -441,8 +478,8 @@ def _restricted_rows(lmats: np.ndarray, cfg: SearchConfig):
         b = choi[:, q, q, None].real * w11
         c = choi[:, p, q, None] * w01
         values = values + _tracenorm2(0.5 * (a + b), c.real, c.imag, 0.5 * (a - b))
-    starts = 1 + np.argmax(values[:, 1:-1], axis=1)
-    tops = np.argmax(values, axis=1)
+    starts = 1 + _first_best(values[:, 1:-1])
+    tops = _first_best(values)
     return states[starts], values[np.arange(len(tops)), tops], states[tops]
 
 

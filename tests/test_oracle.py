@@ -515,6 +515,33 @@ def unitary_difference(rng):
     return np.kron(u1, u1.conj()) - np.kron(u2, u2.conj())
 
 
+def full_bloch_grid(n):
+    """The whole uniform (polar, azimuth) Bloch grid with n points per axis,
+    in flat polar-major order: its parameters, and the affine coordinates
+    r = (1, x, y, z) of its points as four rows, computed as the library
+    computes the columns it keeps."""
+    polar = np.linspace(0.0, math.pi, n)
+    azim = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    mesh = np.meshgrid(polar, azim, indexing="ij")
+    params = np.stack([g.ravel() for g in mesh], axis=1)
+    p, a = params[:, 0], params[:, 1]
+    x, y = np.sin(p) * np.cos(a), np.sin(p) * np.sin(a)
+    return params, np.stack([np.ones_like(p), x, y, np.cos(p)])
+
+
+def affine_bloch(lmat):
+    """The real affine Bloch matrix A of a qubit superoperator: the Pauli
+    coordinates (c0, c) of Delta(rho) are A (1, x, y, z)."""
+    return np.real(oracle._PAULI_COORDS @ lmat @ oracle._PAULI_HALVES)
+
+
+def full_bloch_values(lmat, r):
+    """||Delta(rho)||_1 at every column of r: the n^2 reference for the
+    library's grid, which evaluates each polar row at its extreme-cos^2
+    azimuths only."""
+    return oracle._tracenorm2(*(affine_bloch(lmat) @ r))
+
+
 class TestRestrictedBlocks:
     LITERALS = (
         "identity", "ad(0.7)", "ad(1)", "pauli(0.3,0.4,1.1)",
@@ -538,24 +565,34 @@ class TestRestrictedBlocks:
         starts, top_values, tops = oracle._restricted_rows(lmats, cfg)
         states, values = eigensolver_values(lmats, cfg)
         rows = np.arange(len(lmats))
-        ref_starts = 1 + np.argmax(values[:, 1:-1], axis=1)
-        ref_tops = np.argmax(values, axis=1)
+        # under the shared tie rule the picks do not depend on rounding: a
+        # literal pair may have two grid points equal in exact arithmetic
+        # (t and 1 - t for identity against a Pauli channel), and both paths
+        # take the lower one
+        ref_starts = 1 + oracle._first_best(values[:, 1:-1])
+        ref_tops = oracle._first_best(values)
         assert np.max(np.abs(top_values - values[rows, ref_tops])) <= 1e-15
         # the grid index of each pick
         picks = [
             np.argmax(np.all(found[:, None, :] == states[None, :, :], axis=2), axis=1)
             for found in (starts, tops)
         ]
-        seeded = slice(0, 300)
-        np.testing.assert_array_equal(picks[0][seeded], ref_starts[seeded])
-        np.testing.assert_array_equal(picks[1][seeded], ref_tops[seeded])
-        # a literal pair may have two grid points equal in exact arithmetic,
-        # t and 1 - t for identity against a Pauli channel; the eigensolver's
-        # rounding picks one of them, so a pick there may be the other
-        for pick, ref in zip(picks, (ref_starts, ref_tops)):
-            best = values[rows, ref]
-            assert np.all(values[rows, pick] >= best - 1e-15)
-            assert np.all(np.flatnonzero(pick != ref) >= 300)
+        np.testing.assert_array_equal(picks[0], ref_starts)
+        np.testing.assert_array_equal(picks[1], ref_tops)
+
+    def test_quasi_extreme_starts_do_not_depend_on_rounding(self):
+        # a quasi-extreme pair's restricted profile is flat or symmetric in
+        # t <-> 1 - t; the eigensolver and the Choi blocks round its tied
+        # points differently, yet pick the same start and top
+        pairs = checks._draw_pairs(200, checks._rng(303), checks.sample_quasi_extreme)
+        lmats = oracle._superops(pairs)
+        cfg = SearchConfig()
+        starts, _, tops = oracle._restricted_rows(lmats, cfg)
+        states, values = eigensolver_values(lmats, cfg)
+        np.testing.assert_array_equal(
+            starts, states[1 + oracle._first_best(values[:, 1:-1])]
+        )
+        np.testing.assert_array_equal(tops, states[oracle._first_best(values)])
 
     def test_rows_equal_one_row_calls(self):
         lmats = oracle._superops(self.pairs()[::17])
@@ -591,6 +628,88 @@ class TestRestrictedBlocks:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         lmats = oracle._superops(self.pairs())
         oracle._restricted_rows(lmats, SearchConfig(grid_points=96))
+
+
+class TestAxisAlignedBloch:
+    """The Bloch grid evaluates each polar row at its extreme-cos^2
+    azimuths only; the full n^2 grid is the reference."""
+
+    # all five literal kinds; ad(1.2) against ad(pi/2) has |a1| = |a2|, so
+    # every azimuth of a polar row ties there
+    LITERALS = (
+        "identity", "ad(0.7)", "ad(1.2)", "ad(1.5707963267948966)",
+        "extremal(0.9,0.4)", "pauli(0.3,0.4,1.1)", "pauli(0.5,0.6,1.1)",
+        "mix(0.25;1.2,0.4;0.3,2.0)",
+    )
+
+    @pytest.fixture(scope="class")
+    def lmats(self):
+        pairs = list(checks._alternating_pairs(checks._rng(29), 2000))
+        literals = [channels.parse_channel(text) for text in self.LITERALS]
+        pairs += [
+            (c1, c2) for i, c1 in enumerate(literals)
+            for j, c2 in enumerate(literals) if i != j
+        ]
+        assert len(pairs) == 2056
+        return oracle._superops(pairs)
+
+    @pytest.mark.parametrize("grid", [64, 65, 96, 97, 100, 128, 255, 256])
+    def test_matches_the_full_grid(self, lmats, grid):
+        starts, top_values, _ = oracle._bloch_rows(lmats, SearchConfig(grid_points=grid))
+        params, r = full_bloch_grid(grid)
+        tops = []
+        for lmat, value in zip(lmats, top_values):
+            values = full_bloch_values(lmat, r)
+            tops.append(int(oracle._first_best(values)))
+            assert value == values[tops[-1]]
+        np.testing.assert_array_equal(starts[:, :2], oracle._bloch_states(params[tops]))
+
+    def test_first_best_takes_the_lowest_index_within_the_tie_tolerance(self):
+        tol = oracle._TIE_TOL
+        values = np.array([
+            [1.0, 2.0 - 2.0 * tol, 2.0 - 0.5 * tol, 2.0],
+            [0.5, 0.25, 0.5, 0.5 + 0.5 * tol],
+        ])
+        np.testing.assert_array_equal(oracle._first_best(values), [2, 0])
+        assert oracle._first_best(values[1]) == 0
+
+    def test_rejects_a_difference_that_is_not_axis_aligned(self):
+        rng = np.random.default_rng(65)
+        for _ in range(4):
+            with pytest.raises(ValueError, match="axis-aligned"):
+                oracle._bloch_rows(unitary_difference(rng)[None], SearchConfig())
+
+    def test_family_differences_are_axis_aligned(self):
+        # seeded channels of every literal kind and of every sampler, paired
+        # across kinds: the Bloch and restricted guards never fire on them
+        rng = checks._rng(31)
+
+        def angle():
+            return repr(float(rng.uniform(0.0, math.pi)))
+
+        def weight():
+            return repr(float(rng.uniform(0.0, 1.0)))
+
+        texts = []
+        for _ in range(60):
+            texts += [
+                "identity", f"ad({angle()})", f"extremal({angle()},{angle()})",
+                f"pauli({weight()},{angle()},{angle()})",
+                f"mix({weight()};{angle()},{angle()};{angle()},{angle()})",
+            ]
+        chans = [channels.parse_channel(text) for text in texts]
+        for sample in (
+            checks.sample_extremal, checks.sample_mixture, checks.sample_quasi_extreme
+        ):
+            chans += [sample(rng) for _ in range(300)]
+        pairs = [(c, chans[(7 * k + 3) % len(chans)]) for k, c in enumerate(chans)]
+        lmats = oracle._superops(pairs)
+        for lmat in lmats:
+            off = affine_bloch(lmat)[oracle._OFF_AXES]
+            np.testing.assert_array_equal(off, np.zeros_like(off))
+        cfg = SearchConfig(grid_points=64)
+        oracle._bloch_rows(lmats, cfg)
+        oracle._restricted_rows(lmats, cfg)
 
 
 class TestBatchedEngine:
@@ -683,42 +802,55 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("grid", [96, 128])
     def test_affine_bloch_grid_matches_outer_products(self, grid):
-        params, r = oracle._bloch_grid(grid)
+        params, r = full_bloch_grid(grid)
         states = oracle._bloch_states(params)
-        lmats = list(oracle._superops(self.pairs(63, 10)))
+        family = list(oracle._superops(self.pairs(63, 10)))
         # the channel family is real; unitary channels U X U^dag, with
         # vec(U X U^dag) = (U (x) conj U) vec(X), also have complex outputs
         rng = np.random.default_rng(65)
-        lmats += [unitary_difference(rng) for _ in range(4)]
-        for lmat in lmats:
+        for lmat in family + [unitary_difference(rng) for _ in range(4)]:
             d = oracle._delta_batch(lmat, states)
             reference = np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
-            assert np.max(np.abs(oracle._bloch_values(lmat, r) - reference)) < 1e-14
+            assert np.max(np.abs(full_bloch_values(lmat, r) - reference)) < 1e-14
+        # the library's best grid values are those of its starts
+        starts, top_values, _ = oracle._bloch_rows(
+            np.stack(family), SearchConfig(grid_points=grid)
+        )
+        for lmat, start, value in zip(family, starts, top_values):
+            d = oracle._delta_batch(lmat, start[None, :2])
+            assert abs(np.sum(np.abs(np.linalg.eigvalsh(d))) - value) < 1e-14
 
     @pytest.mark.parametrize("grid", [96, 128, 256])
     def test_bloch_rows_match_row_major_formula(self, grid):
+        # the library keeps the full grid's columns at four azimuths
+        params, r = oracle._bloch_grid(grid)
+        assert not params.flags.writeable and not r.flags.writeable
+        full_params, full_r = full_bloch_grid(grid)
+        kept = np.searchsorted(full_params[:grid, 1], params[:4, 1])
+        np.testing.assert_array_equal(kept, np.arange(4) * grid // 4)
+        flat = np.add.outer(np.arange(grid) * grid, kept).ravel()
+        np.testing.assert_array_equal(params, full_params[flat])
+        np.testing.assert_array_equal(r, full_r[:, flat])
         # reference: one point per row of an n^2 x 4 array, |c|^2 reduced
         # over its last three columns
-        params, r = oracle._bloch_grid(grid)
-        assert r.shape == (4, grid * grid) and not r.flags.writeable
-        points = np.ascontiguousarray(r.T)
+        points = np.ascontiguousarray(full_r.T)
         rng = checks._rng(grid)
         pairs = [
             (checks.sample_extremal(rng), checks.sample_extremal(rng))
             for _ in range(8)
         ] + [(checks.sample_mixture(rng), checks.sample_mixture(rng)) for _ in range(8)]
-        lmats = list(oracle._superops(pairs))
-        rng = np.random.default_rng(65)
-        lmats += [unitary_difference(rng) for _ in range(4)]
-        for lmat in lmats:
-            c = points @ np.real(oracle._PAULI_COORDS @ lmat @ oracle._PAULI_HALVES).T
+        lmats = oracle._superops(pairs)
+        starts, top_values, _ = oracle._bloch_rows(lmats, SearchConfig(grid_points=grid))
+        for lmat, start, value in zip(lmats, starts, top_values):
+            c = points @ affine_bloch(lmat).T
             reference = 2.0 * np.maximum(
                 np.abs(c[:, 0]), np.sqrt(np.sum(c[:, 1:] ** 2, axis=1))
             )
-            values = oracle._bloch_values(lmat, r)
-            top = int(np.argmax(reference))
-            assert int(np.argmax(values)) == top
-            assert values[top] == reference[top]
+            top = int(oracle._first_best(reference))
+            assert value == reference[top]
+            np.testing.assert_array_equal(
+                start[:2], oracle._bloch_states(full_params[top : top + 1])[0]
+            )
 
     def test_bloch_grid_memory_does_not_grow_with_rows(self):
         lmats = oracle._superops(self.pairs(66, 64))
