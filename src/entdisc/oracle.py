@@ -130,7 +130,7 @@ class PureState:
         if len(self.a) not in (2, 4):
             raise ValueError(f"a probe needs 2 or 4 amplitudes, got {len(self.a)}")
         norm = sum(abs(x) ** 2 for x in self.a)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
     @classmethod
@@ -155,10 +155,10 @@ class Measurement:
 
     def __post_init__(self):
         for proj in (self.plus_projector, self.minus_projector):
-            if np.max(np.abs(proj @ proj - proj)) > 1e-10:
+            if not np.max(np.abs(proj @ proj - proj)) <= 1e-10:  # NaN fails too
                 raise ValueError("projector is not idempotent")
         s = self.plus_projector + self.minus_projector
-        if np.max(np.abs(s - np.eye(len(s)))) > 1e-10:
+        if not np.max(np.abs(s - np.eye(len(s)))) <= 1e-10:  # NaN fails too
             raise ValueError("projectors do not sum to the identity")
 
 

@@ -31,6 +31,6 @@ def hermitian_eigensystem(h) -> tuple[np.ndarray, np.ndarray]:
             f"supported dimensions are {_SUPPORTED_DIMS}, got {h.shape[0]}"
         )
     dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:  # NaN fails too
         raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     return np.linalg.eigh(0.5 * (h + h.conj().T))

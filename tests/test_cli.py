@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -427,6 +428,110 @@ class TestSweep:
         assert len(angles) == len(set(angles))
         assert set(angles) == {*phi1, *theta1, 1.0, 0.2, 2.0, 0.4, 0.0}
 
+
+
+class TestSweepOutFile:
+    """``--out`` is written in place and cut at the end of the new rows."""
+
+    GRID = ("phi2=1.0", "theta2=0.2",
+            "--grid", "phi1=0.3:2.8:5", "--grid", "theta1=0.3:2.8:5")
+
+    def sweep(self, capsys, out):
+        return run_cli(capsys, "sweep", *self.GRID, "--out", str(out))
+
+    def fresh_bytes(self, capsys, tmp_path):
+        fresh = tmp_path / "fresh.csv"
+        code, _, _ = self.sweep(capsys, fresh)
+        assert code == 0
+        return fresh.read_bytes()
+
+    @pytest.mark.parametrize(
+        "old", [b"X" * 20_000 + b"\n", b"short\n", b""], ids=["longer", "shorter", "empty"]
+    )
+    def test_old_contents_leave_no_trace(self, tmp_path, capsys, old):
+        expected = self.fresh_bytes(capsys, tmp_path)
+        out = tmp_path / "old.csv"
+        out.write_bytes(old)
+        code, stdout, _ = self.sweep(capsys, out)
+        assert code == 0
+        assert json.loads(stdout)["rows"] == 25
+        assert out.read_bytes() == expected
+
+    def test_dev_null(self, capsys):
+        code, stdout, err = self.sweep(capsys, os.devnull)
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["out"] == os.devnull
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_reader_gets_the_same_bytes(self, tmp_path, capsys):
+        expected = self.fresh_bytes(capsys, tmp_path)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            code, _, err = self.sweep(capsys, fifo)
+        finally:
+            reader.join(timeout=10)
+            if reader.is_alive():  # the sweep never opened the pipe
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join()
+        assert (code, err) == (0, "")
+        assert got == [expected]
+
+    def test_symlink_is_written_through(self, tmp_path, capsys):
+        expected = self.fresh_bytes(capsys, tmp_path)
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"X" * 20_000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _, _ = self.sweep(capsys, link)
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, capsys):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"X" * 20_000)
+        out.chmod(0o640)
+        code, _, _ = self.sweep(capsys, out)
+        assert code == 0
+        assert out.stat().st_mode & 0o7777 == 0o640
+
+    @pytest.mark.parametrize("k", [1, 7, 25])
+    def test_cell_that_raises_leaves_only_the_rows_written(
+        self, tmp_path, capsys, monkeypatch, k
+    ):
+        rows = self.fresh_bytes(capsys, tmp_path).splitlines(keepends=True)
+        classify_moments = discrim.classify_moments
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == k:
+                raise ValueError("cell failed")
+            return classify_moments(*args)
+
+        monkeypatch.setattr(discrim, "classify_moments", failing)
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"X" * 20_000)
+        code, _, err = self.sweep(capsys, out)
+        assert code == 1
+        assert "cell failed" in err
+        assert out.read_bytes() == b"".join(rows[:k])  # header + k - 1 rows
+
+    @pytest.mark.parametrize(
+        "where, reason",
+        [(".", "Is a directory"), ("missing/x.csv", "No such file or directory")],
+    )
+    def test_unwritable_out_keeps_its_message(self, tmp_path, capsys, where, reason):
+        out = tmp_path / where
+        code, stdout, err = self.sweep(capsys, out)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {str(out)!r}: ")
+        assert reason in err
+        assert not (tmp_path / "missing").exists()
 
 class TestVerify:
     def test_lemma1_passes(self, capsys):

@@ -51,6 +51,13 @@ class TestStates:
         with pytest.raises(ValueError):
             PureState((1.0, 0.5, 0, 0))
 
+    @pytest.mark.parametrize(
+        "amps", [(math.nan, 0j), (1.0, math.nan), (0.6, 0.8j, 0j, complex(0, math.nan))]
+    )
+    def test_rejects_nan_amplitudes(self, amps):
+        with pytest.raises(ValueError, match="deviates from 1 by nan"):
+            PureState(amps)
+
     @pytest.mark.parametrize("amps", [(1.0,), (0.6, 0.8, 0.0), (1.0,) + (0.0,) * 7])
     def test_rejects_other_lengths(self, amps):
         # each has unit norm: only its length is wrong
@@ -330,6 +337,18 @@ class TestHelstrom:
         bad = np.array([[0.5, 0], [0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="idempotent"):
             Measurement(bad, np.eye(2) - bad)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_projector_validation_rejects_nan(self, dim):
+        plus = np.zeros((dim, dim), dtype=complex)
+        plus[0, 0] = 1.0
+        minus = np.eye(dim) - plus
+        bad = plus.copy()
+        bad[dim - 1, 0] = math.nan
+        with pytest.raises(ValueError, match="idempotent"):
+            Measurement(bad, minus)
+        with pytest.raises(ValueError, match="idempotent"):
+            Measurement(plus, bad)
 
 
 class TestSimulate:

@@ -44,6 +44,14 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="Hermitian"):
             eigenvalues(np.array([[0, 1], [0, 0]]))
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    def test_rejects_nan(self, dim, entry):
+        h = np.eye(dim, dtype=complex)
+        h[entry] = np.nan
+        with pytest.raises(ValueError, match="max deviation nan"):
+            eigenvalues(h)
+
     @pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 3), (8, 8), (2, 2, 2)])
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="shape|dimensions"):
