@@ -13,7 +13,7 @@ from entdisc import checks, discrim, oracle
 
 SAMPLES = 60
 SEED = 7
-cfg = oracle.SearchConfig(grid_points=96, multistarts=16, rng_seed=SEED)
+cfg = oracle.SearchConfig(grid_points=96)
 
 rng = np.random.default_rng(SEED)
 worst_single = worst_ent = 0.0

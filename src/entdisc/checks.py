@@ -5,12 +5,12 @@ Each check draws reproducible samples from a PCG64 stream, runs the
 relevant comparison, and returns a plain report dict with the worst
 deviation and the full inputs of any failing sample.  A check draws all
 its pairs first and then runs the Bloch and restricted oracle searches it
-needs for them as the rows of a single see-saw; its report gives their
-step counts and the number of rows stopped at the step cap
-(``seesaw_steps``).  Only lemma2's full searches, and a tree check's
-escalations, run see-saws of their own.  The Monte-Carlo check runs
-:func:`oracle.simulate` on each case's best probe, the same experiment as
-``entdisc simulate``.
+needs for them as the rows of a single zoom; its report gives their zoom
+levels (``refine_levels``).  Lemma 2 is checked by certificate, not by a
+search: on every pair the certified bound over all two-qubit probes
+(:func:`oracle._entangled_bounds`) may exceed the restricted maximum by at
+most ``LEMMA_TOL``.  The Monte-Carlo check runs :func:`oracle.simulate` on
+each case's best probe, the same experiment as ``entdisc simulate``.
 """
 
 from __future__ import annotations
@@ -73,18 +73,11 @@ def _alternating_pairs(rng, count: int):
         yield sample(rng), sample(rng)
 
 
-def _seesaw_steps(results) -> dict:
-    """See-saw steps of a check's searches, one result each: a batch costs
-    its longest row (max), a per-pair loop every row (total); ``capped``
-    counts the results not converged within the step cap."""
-    results = list(results)
-    steps = [r.iterations for r in results]
-    return {
-        "rows": len(steps),
-        "max": max(steps, default=0),
-        "total": sum(steps),
-        "capped": sum(not r.converged for r in results),
-    }
+def _refine_levels(results) -> dict:
+    """Zoom levels of a check's searches, one result each: a batch costs
+    its longest row (max), a per-pair loop every row (total)."""
+    levels = [r.iterations for r in results]
+    return {"rows": len(levels), "max": max(levels, default=0), "total": sum(levels)}
 
 
 def check_lemma1(
@@ -109,7 +102,7 @@ def check_lemma1(
         "seed": seed,
         "tolerance": LEMMA_TOL,
         "max_deviation": max_dev,
-        "seesaw_steps": _seesaw_steps(brutes),
+        "refine_levels": _refine_levels(brutes),
         "failures": failures,
         "passed": not failures,
     }
@@ -118,26 +111,22 @@ def check_lemma1(
 def check_lemma2(
     samples: int, seed: int, cfg: oracle.SearchConfig = oracle.DEFAULT_CONFIG
 ) -> dict:
-    """Closed-form entangled maximum vs restricted search, and the claim
-    that searching outside the |00>/|11> plane never helps; counts the
-    pairs whose full search stopped at its step cap (``full_unconverged``)
-    and gives the winning rows' steps of the full searches
-    (``full_seesaw_steps``), which each run as a batch of their own."""
+    """Closed-form entangled maximum vs restricted search, and Lemma 2 by
+    certificate: on every pair, the certified bound over all two-qubit
+    probes at the restricted maximizer exceeds the restricted maximum by at
+    most ``LEMMA_TOL`` (``max_certified_excess``)."""
     _require_samples(samples)
     pairs = _draw_pairs(samples, _rng(seed), sample_extremal)
-    restricted_all = oracle._grid_searches(oracle._superops(pairs), cfg, bloch=False)[0]
+    lmats = oracle._superops(pairs)
+    restricted_all = oracle._grid_searches(lmats, cfg, bloch=False)[0]
+    bounds = oracle._entangled_bounds(lmats, np.array([r.arg for r in restricted_all]))
     max_dev = 0.0
     max_excess = -math.inf
-    unconverged = 0
-    fulls = []
     failures = []
-    for (c1, c2), restricted in zip(pairs, restricted_all):
+    for (c1, c2), restricted, bound in zip(pairs, restricted_all, bounds):
         closed = discrim.compute_params(c1, c2).entangled.value
-        full = oracle.brute_max_entangled(c1, c2, cfg, mode="full")
-        fulls.append(full)
-        unconverged += not full.converged
         dev = abs(closed - restricted.value)
-        excess = full.value - restricted.value
+        excess = float(bound) - restricted.value
         max_dev = max(max_dev, dev)
         max_excess = max(max_excess, excess)
         if dev > LEMMA_TOL or excess > LEMMA_TOL:
@@ -146,7 +135,7 @@ def check_lemma2(
                     **channels.format_pair(c1, c2),
                     "closed": closed,
                     "restricted": restricted.value,
-                    "full": full.value,
+                    "bound": float(bound),
                 }
             )
     return {
@@ -155,10 +144,8 @@ def check_lemma2(
         "seed": seed,
         "tolerance": LEMMA_TOL,
         "max_deviation": max_dev,
-        "max_full_excess": max_excess,
-        "full_unconverged": unconverged,
-        "seesaw_steps": _seesaw_steps(restricted_all),
-        "full_seesaw_steps": _seesaw_steps(fulls),
+        "max_certified_excess": max_excess,
+        "refine_levels": _refine_levels(restricted_all),
         "failures": failures,
         "passed": not failures,
     }
@@ -185,7 +172,7 @@ def check_quasi_extreme(
         "seed": seed,
         "tolerance": LEMMA_TOL,
         "max_gap": max_gap,
-        "seesaw_steps": _seesaw_steps(itertools.chain(*brutes)),
+        "refine_levels": _refine_levels(itertools.chain(*brutes)),
         "failures": failures,
         "passed": not failures,
     }
@@ -200,8 +187,10 @@ def check_tree(
     classification has any slack below 1e-3 sit too close to a tree
     boundary for floating point and are discarded; the rest must agree
     with (brute entangled - brute single > 1e-6) exactly.  A disagreement
-    is escalated to the full-space search before being reported.  A run
-    that retains no sample checked nothing and does not pass.
+    is a failure; its record carries the certified bound over all
+    two-qubit probes (``bound``), so a reader can tell a search that fell
+    short from a wrong verdict.  A run that retains no sample checked
+    nothing and does not pass.
     """
     _require_samples(samples)
     kept = []
@@ -215,9 +204,9 @@ def check_tree(
     for (c1, c2, cls), (single, ent) in zip(kept, brutes):
         oracle_useful = (ent.value - single.value) > TREE_GAP
         if oracle_useful != cls.useful:
-            full = oracle.brute_max_entangled(c1, c2, cfg, mode="full").value
-            oracle_useful = (max(ent.value, full) - single.value) > TREE_GAP
-        if oracle_useful != cls.useful:
+            bound = oracle._entangled_bounds(
+                oracle._superops([(c1, c2)]), np.array([ent.arg])
+            )[0]
             failures.append(
                 {
                     **channels.format_pair(c1, c2),
@@ -225,6 +214,7 @@ def check_tree(
                     "classified_useful": cls.useful,
                     "single": single.value,
                     "entangled": ent.value,
+                    "bound": float(bound),
                 }
             )
     return {
@@ -235,7 +225,7 @@ def check_tree(
         "discarded": samples - len(kept),
         "slack_threshold": TREE_SLACK,
         "gap_threshold": TREE_GAP,
-        "seesaw_steps": _seesaw_steps(itertools.chain(*brutes)),
+        "refine_levels": _refine_levels(itertools.chain(*brutes)),
         "failures": failures,
         "passed": bool(kept) and not failures,
     }

@@ -1,6 +1,6 @@
 """Command-line surface: params, classify, sweep, verify, simulate.
 
-Single results print as JSON (schema_version 2, floats at 17 significant
+Single results print as JSON (schema_version 3, floats at 17 significant
 digits so repeated runs are byte-identical); sweeps write CSV.  Exit codes:
 0 success, 1 validation failure, 2 verification failure.
 
@@ -42,7 +42,7 @@ import sys
 
 from . import __version__, channels, discrim
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
@@ -240,6 +240,8 @@ def _parse_axis(text: str):
         raise ValueError(usage) from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"axis bounds must be finite, got {text!r}")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"axis span stop - start must be finite, got {text!r}")
     if steps < 2:
         raise ValueError(f"axis needs at least 2 steps: {text!r}")
     return name, start, stop, steps
@@ -408,7 +410,7 @@ def cmd_verify(args) -> int:
             f"--trials applies to --mode montecarlo only, not {args.mode!r}"
         )
     samples = 100 if args.samples is None else args.samples
-    cfg = oracle.SearchConfig(grid_points=96, multistarts=16, rng_seed=args.seed)
+    cfg = oracle.SearchConfig(grid_points=96)
     if args.mode == "lemma1":
         report = checks.check_lemma1(samples, args.seed, cfg)
     elif args.mode == "lemma2":
@@ -435,9 +437,8 @@ def cmd_simulate(args) -> int:
     if args.optimal and args.probe is not None:
         raise ValueError("simulate takes a probe literal or --optimal, not both")
     _check_trials(args.trials)
-    cfg = oracle.SearchConfig(rng_seed=args.seed)
     if args.optimal:
-        probe, _ = oracle.optimal_entangled_probe(c1, c2, cfg)
+        probe, _ = oracle.optimal_entangled_probe(c1, c2)
     elif args.probe is not None:
         probe = _parse_probe(args.probe)
     else:

@@ -122,8 +122,7 @@ class DistanceResult:
     value: float
     arg: float
     branch: str
-    converged: bool = True  # False when a search stopped at its iteration cap
-    iterations: int = 0  # see-saw steps of the winning search row; 0 for closed forms
+    iterations: int = 0  # zoom levels of an oracle search; 0 for closed forms
 
 
 @dataclass

@@ -1,73 +1,45 @@
 """Brute-force verification: probe search, Helstrom measurements, sampling.
 
 Nothing in this module uses the closed-form distance formulas.  Trace
-distances are maximized directly over probe states by applying the
-channels' superoperators (:func:`channels.superoperator`), so the results
-serve as an independent check on the closed forms and on the decision
-tree.  The grids call no eigensolver: each grid output is made of
-Hermitian 2x2 blocks, and a block's trace norm is a closed form in its
-Pauli coordinates (:func:`_tracenorm2`).  The Bloch grid is 4 n of its n^2
-points a pair: along a polar row of the (polar, azimuth) grid a family
-difference's value is monotone in cos^2 of the azimuth, so each row is
-evaluated only at its extreme-cos^2 azimuths.  It runs one pair at a time,
-so a check's memory does not grow with its number of pairs, and keeps its
-points as four rows of coordinates (1, x, y, z), so each Pauli coordinate
-of a pair's outputs is one contiguous row.  The restricted grid is n points
-a pair, and runs for all the pairs of a check as one (pairs x n) array.
-Both grids take the lowest index among the points tied, within 16 eps,
-for their best value (:func:`_first_best`).
+distances are maximized directly over probe states from the channels'
+superoperators (:func:`channels.superoperator`), so the results serve as
+an independent check on the closed forms and on the decision tree.
 
-The three searches share one maximizer, :func:`_seesaw`, whose rows each
-carry their own superoperator and their own probe basis.  A check runs the
-Bloch and restricted searches of all its pairs as the rows of one see-saw
-(:func:`brute_max_many`), and a one-pair search is a one-row call.  Both
-grid searches run on the pair's extended superoperator id (x) Delta,
-expanded from its qubit one (:func:`channels.extend_superoperator`), so
-every row of that see-saw has a 4x4 D-step and a 2x2 M-step.  By the
-Helstrom/diamond-norm duality (Watrous, arXiv:1207.5726) the largest
-||Delta(psi psi^dag)||_1 is the largest <psi| Delta^dag(O) |psi> over
-probes psi and observables -1 <= O <= 1, and for a fixed psi the best O is
-sign(Delta(psi psi^dag)).  The see-saw alternates the two maximizations,
-both eigen-steps, for a batch of starts in lockstep.  The iterates often
-converge only linearly, so each row also tries the vector Aitken
-(Delta^2) extrapolation of its last three iterates and moves there only
-when that strictly raises its value; a see-saw step from any state never
-lowers the value, so every row stays monotone and fixed points stay
-fixed.  The searches differ only in the probe subspace and the starts:
+Both searches are one-dimensional and share one maximizer: a uniform grid,
+then a zoom inside the grid cells next to its best point (:func:`_zoom`).
 
-* Bloch: all of C^2, from the best point of a (polar, azimuth) grid, its
-  trace norms read off the affine Bloch picture of the qubit
-  superoperator (:func:`_bloch_rows`).  Its see-saw runs on the product
-  probes |0> (x) psi in the basis {|00>, |01>}: (id (x) Delta)(|0><0| (x)
-  psi psi^dag) = |0><0| (x) Delta(psi psi^dag), with the same trace norm;
-* restricted: span{|00>, |11>}, from the best interior point of a grid
-  over the Schmidt weight t of sqrt(1 - t)|00> + sqrt(t)|11>.  A relative
-  phase on |11> is undone exactly by diag(1, e^{-i eta}) on the reference
-  qubit, a unitary that commutes with id (x) N and leaves the trace norm
-  unchanged, so the grid is real.  Every channel of the family is
-  Z-covariant, N(Z rho Z) = Z N(rho) Z (K0 is diagonal and K1
-  anti-diagonal, and mixtures keep this), so on such a probe the output of
-  id (x) Delta commutes with Z (x) Z.  It splits into 2x2 blocks on
-  {|00>, |11>} and {|01>, |10>}, whose entries are entries of the Choi
-  matrix of Delta times products of the chart amplitudes
-  (:func:`_restricted_rows`);
-* full: all of C^4, from seeded starts on the pair chart
-  sqrt(1 - t)|0>|v0> + sqrt(t)|1>|v1> (v0 a Bloch state of the system
-  qubit, v1 orthogonal to it).  By the SVD every pure two-qubit state is a
-  chart point moved by a unitary on the reference qubit.
+* Bloch (qubit probes): the (polar, azimuth) grid, read off the affine
+  Bloch picture of the qubit superoperator, at the extreme-cos^2 azimuths
+  of each polar row only (:func:`_bloch_rows`); the zoom runs along the
+  polar angle at azimuth 0 or pi/2.
+* restricted (pair probes sqrt(1 - t)|00> + sqrt(t)|11>): a grid over the
+  Schmidt weight t, read off the two Z (x) Z blocks of the Choi matrix
+  (:func:`_restricted_rows`).
 
-All searches are deterministic given a :class:`SearchConfig`: grids are
-uniform, the full-space search uses a seeded generator for its
-multistarts, and ties are broken toward the lowest index.
+In the weight t on |1> (Bloch, t = sin^2 of half the polar angle) or on
+|11> (restricted) the two are one formula, with no eigensolver: a row's
+value is the sum of the trace norms of two Hermitian 2x2 blocks whose
+Pauli coordinates are linear in (1 - t, t, sqrt(t (1 - t)))
+(:func:`_block_values`, :func:`_tracenorm2`).  A check runs every search
+of its pairs as the rows of one zoom (:func:`brute_max_many`); a one-pair
+search is a one-row call.  Grids and zoom levels are uniform, ties go to
+the lowest index and rows never mix, so every search is deterministic.
+
+No search runs over all of C^4.  Lemma 2 (no two-qubit probe beats the
+restricted family) is proved pair by pair instead: by the
+Helstrom/diamond-norm duality (Watrous, arXiv:1207.5726), a dual feasible
+point at the restricted maximizer bounds ||(id (x) Delta)(psi psi^dag)||_1
+over every two-qubit probe psi, and the bound is tight there
+(:func:`_entangled_bounds`).
 
 Every probe meets a channel one way: as a row of :func:`_delta_batch`,
-which takes pure states through a superoperator or a stack of them.  The
-searches run their rows through it, and so do :func:`delta` and
-:func:`simulate` on a :class:`PureState`, a qubit probe or a pair probe
-(on which the channels act as id (x) N).  :func:`simulate` is the whole
-Helstrom experiment: it builds each channel's superoperator once, takes
-the output difference and both outputs as the rows of one stack, measures
-the difference's :func:`helstrom` projectors and draws the trials.
+which takes pure states through a stack of superoperators.  :func:`delta`
+and :func:`simulate` run a :class:`PureState`, a qubit probe or a pair
+probe (on which the channels act as id (x) N), through it.
+:func:`simulate` is the whole Helstrom experiment: it builds each
+channel's superoperator once, takes the output difference and both
+outputs as the rows of one stack, measures the difference's
+:func:`helstrom` projectors and draws the trials.
 """
 
 from __future__ import annotations
@@ -84,15 +56,17 @@ from .discrim import DistanceResult
 
 RNG_ALGORITHM = "pcg64"
 
-_MAX_STEPS = 3000
-
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Deterministic search budget for the brute-force maximizers.
 
-    ``refine_tol`` is the smallest gain of one see-saw step that keeps a
-    start running; the first step that gains less stops it.
+    ``grid_points`` is the number of grid points per axis.  ``refine_tol``
+    ends a row's zoom: the first level whose values spread (max - min) by
+    less than it is the row's last.  ``multistarts`` and ``rng_seed`` are
+    validated but read by no search; they budgeted the seeded search over
+    all of C^4 that the certified bound of :func:`_entangled_bounds`
+    replaced.
     """
 
     grid_points: int = 256
@@ -162,29 +136,19 @@ class Measurement:
             raise ValueError("projectors do not sum to the identity")
 
 
-def _delta_superop(c1, c2) -> np.ndarray:
-    return channels.superoperator(c1) - channels.superoperator(c2)
-
-
 def _superops(pairs) -> np.ndarray:
     """The difference superoperators of channel pairs, stacked one per row."""
-    return np.stack([_delta_superop(c1, c2) for c1, c2 in pairs])
-
-
-def _apply(lmats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Each row of ``vecs`` through its superoperator: ``lmats`` is one
-    d^2 x d^2 matrix shared by every row, or a stack with one per row."""
-    if lmats.ndim == 2:
-        return vecs @ lmats.T
-    return (lmats @ vecs[:, :, None])[:, :, 0]
+    sop = channels.superoperator
+    return np.stack([sop(c1) - sop(c2) for c1, c2 in pairs])
 
 
 def _delta_batch(lmats: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Output differences for a batch of pure probe states."""
+    """Output differences for a batch of pure probe states: row i of
+    ``states`` through ``lmats[i]``, a stack of d^2 x d^2 superoperators."""
     k = states.shape[1]
     rhos = states[:, :, None] * states.conj()[:, None, :]
     dim = math.isqrt(lmats.shape[-2])
-    return _apply(lmats, rhos.reshape(-1, k * k)).reshape(-1, dim, dim)
+    return (lmats @ rhos.reshape(-1, k * k, 1)).reshape(-1, dim, dim)
 
 
 def _outputs(c1, c2, probe: PureState) -> np.ndarray:
@@ -204,120 +168,6 @@ def delta(c1, c2, probe: PureState) -> np.ndarray:
     """Difference of the two channel outputs on ``probe``; on a pair probe
     the channels act as id (x) N."""
     return _outputs(c1, c2, probe)[0]
-
-
-def _aligned(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Each row of ``x`` times the phase that makes <ref|x> real and >= 0."""
-    overlap = np.sum(ref.conj() * x, axis=1)
-    size = np.abs(overlap)
-    phase = np.ones_like(overlap)
-    np.divide(overlap.conj(), size, out=phase, where=size > 0.0)
-    return x * phase[:, None]
-
-
-def _extrapolated(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """One vector Aitken (Delta^2) step per row from three iterates.
-
-    With d = x2 - x1 and Delta^2 x = d - (x1 - x0), the step is
-    y = x2 - lambda d for lambda = Re<Delta^2 x, d> / ||Delta^2 x||^2 (0 when
-    Delta^2 x = 0): the limit of iterates that converge geometrically along
-    one direction.  y is normalized; a row with y = 0 keeps x2.
-    """
-    d = x2 - x1
-    dd = d - (x1 - x0)
-    den = np.sum(np.abs(dd) ** 2, axis=1)
-    lam = np.zeros(len(d))
-    np.divide(np.real(np.sum(dd.conj() * d, axis=1)), den, out=lam, where=den > 0.0)
-    y = x2 - lam[:, None] * d
-    norm = np.linalg.norm(y, axis=1, keepdims=True)
-    np.divide(y, norm, out=y, where=norm > 0.0)
-    return np.where(norm > 0.0, y, x2)
-
-
-def _seesaw(lmats: np.ndarray, states: np.ndarray, basis: np.ndarray, refine_tol):
-    """Lockstep Helstrom see-saw from every row of ``states``.
-
-    Row i runs on the superoperator ``lmats[i]`` (rows x d^2 x d^2) and
-    searches the span of the columns of ``basis[i]`` (rows x d x k); a
-    single d^2 x d^2 ``lmats`` or d x k ``basis`` is shared by every row.
-    Every row of a call has the same d and k, so the rows of different
-    searches run as one batch.  A step takes the Helstrom observable
-    O = sign(D) of D = Delta(psi psi^dag) from an ``eigh`` and moves psi to
-    the top eigenvector of M = Delta^dag(O) compressed to the row's basis;
-    as ||D||_1 = <psi|M|psi>, no step lowers it.
-
-    Near a maximum the steps often shrink only geometrically: on a
-    restricted row whose maximum is a product probe, 1 - t falls by about 5%
-    a step.  So once a row holds three iterates, each step also evaluates
-    their Delta^2 extrapolation (:func:`_extrapolated`; ``eigh`` fixes an
-    eigenvector only up to a phase, so each new one is first aligned to the
-    row's previous iterate).  The row moves there only when that strictly
-    raises its value, and its window of iterates then restarts.  A see-saw
-    step from any state never lowers its value, so no row's value ever
-    falls; a fixed point's iterates do not move, so it stays fixed.
-
-    A row keeps its best state and stops after its first step that gains
-    less than ``refine_tol``, or at ``_MAX_STEPS``; rows never mix, so a
-    row's result does not depend on the others.  Returns the best values,
-    their states, the steps each row ran and the indices of the rows
-    stopped at the cap.
-    """
-    dim, k = basis.shape[-2:]
-    # probes in the basis: vec(B X B^T) = (B (x) B) vec(X), and
-    # vec(B^T M B) = forward^dag vec(O) for vec(M) = L^dag vec(O)
-    kron = basis[..., :, None, :, None] * basis[..., None, :, None, :]
-    forward = lmats @ kron.reshape(*basis.shape[:-2], dim * dim, k * k)
-    adjoint = np.swapaxes(forward, -1, -2).conj()
-    w, v = np.linalg.eigh(_delta_batch(lmats, states))
-    start = np.sum(np.abs(w), axis=1)
-    best = start.copy()
-    coords = (states[:, None, :] @ basis)[:, 0]
-    # the running rows' last two iterates; a row is ``fresh`` while its
-    # window, restarted at its start or at an extrapolation, holds fewer
-    # than three
-    before = last = coords.copy()
-    fresh = np.ones(len(states), dtype=bool)
-    steps = np.full(len(states), _MAX_STEPS)
-    running = np.arange(len(states))
-    for step in range(1, _MAX_STEPS + 1):
-        if running.size == 0:
-            break
-        obs = (v * np.sign(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        m = _apply(adjoint, obs.reshape(-1, dim * dim)).reshape(-1, k, k)
-        trial = _aligned(np.linalg.eigh(m)[1][:, :, -1], last)
-        w, v = np.linalg.eigh(_delta_batch(forward, trial))
-        value = np.abs(w).sum(axis=1)
-        take = np.zeros_like(fresh)
-        if not fresh.all():
-            jump = np.where(fresh[:, None], trial, _extrapolated(before, last, trial))
-            wj, vj = np.linalg.eigh(_delta_batch(forward, jump))
-            jumped = np.abs(wj).sum(axis=1)
-            take = jumped > value
-            trial[take], w[take], v[take], value[take] = (
-                jump[take], wj[take], vj[take], jumped[take]
-            )
-        before, last, fresh = np.where(take[:, None], trial, last), trial, take
-        gain = value - best[running]
-        up = gain > 0.0
-        coords[running[up]], best[running[up]] = trial[up], value[up]
-        keep = gain >= refine_tol
-        if not keep.all():
-            steps[running[~keep]] = step
-            running, w, v = running[keep], w[keep], v[keep]
-            before, last, fresh = before[keep], last[keep], fresh[keep]
-            if forward.ndim == 3:
-                forward, adjoint = forward[keep], adjoint[keep]
-    found = (basis @ coords[:, :, None])[:, :, 0]
-    psi = np.where((best > start)[:, None], found, states)
-    return best, psi, steps, running
-
-
-def _bloch_states(params: np.ndarray) -> np.ndarray:
-    """Bloch chart: polar angle in [0, pi], azimuth in [0, 2 pi)."""
-    polar, azim = params[:, 0], params[:, 1]
-    return np.stack(
-        [np.cos(polar / 2.0), np.exp(1j * azim) * np.sin(polar / 2.0)], axis=1
-    )
 
 
 _PAULI = np.array(
@@ -342,6 +192,28 @@ def _first_best(values: np.ndarray) -> np.ndarray:
     points is a property of the grid, not of its rounding."""
     top = np.max(values, axis=-1, keepdims=True)
     return np.argmax(values >= top - _TIE_TOL, axis=-1)
+
+
+def _tracenorm2(c0, x, y, z):
+    """||D||_1 of the Hermitian 2x2 D = c0 I + x X + y Y + z Z, elementwise:
+    its eigenvalues are c0 +- |c|, so ||D||_1 = 2 max(|c0|, |c|)."""
+    return 2.0 * np.maximum(np.abs(c0), np.sqrt(x * x + y * y + z * z))
+
+
+def _block_values(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row i's value at each weight of ``t[i]`` (rows x K, or 1 x K shared
+    by every row): the sum over its two blocks of ||D||_1 for the Hermitian
+    2x2 D whose Pauli coordinates are linear in the products (w00, w11,
+    w01) = (1 - t, t, sqrt(t (1 - t))) of the probe's amplitudes
+    sqrt(1 - t) and sqrt(t): c0 = u0 w00 + v0 w11, x = p w01, y = q w01
+    and z = u3 w00 + v3 w11, with ``coef[i, b]`` = (u0, v0, u3, v3, p, q)
+    for block b (``coef`` is rows x 2 x 6).  The products are summed
+    elementwise, so a row's values do not depend on the other rows."""
+    s0, s1 = np.sqrt(1.0 - t)[:, None, :], np.sqrt(t)[:, None, :]
+    w00, w11, w01 = s0 * s0, s1 * s1, s0 * s1
+    u0, v0, u3, v3, p, q = np.moveaxis(coef[..., None], 2, 0)
+    norms = _tracenorm2(u0 * w00 + v0 * w11, p * w01, q * w01, u3 * w00 + v3 * w11)
+    return norms[:, 0] + norms[:, 1]
 
 
 # the entries of the real affine Bloch matrix of a qubit superoperator,
@@ -379,20 +251,12 @@ def _bloch_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return params, r
 
 
-def _tracenorm2(c0, x, y, z):
-    """||D||_1 of the Hermitian 2x2 D = c0 I + x X + y Y + z Z, elementwise:
-    its eigenvalues are c0 +- |c|, so ||D||_1 = 2 max(|c0|, |c|)."""
-    return 2.0 * np.maximum(np.abs(c0), np.sqrt(x * x + y * y + z * z))
-
-
 def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig):
-    """The Bloch rows of a see-saw, one per qubit superoperator of ``lmats``.
-
-    Each row starts at the best point of the uniform (polar, azimuth) grid
-    with cfg.grid_points per axis, as the product probe |0> (x) psi, which
-    the see-saw moves in the basis {|00>, |01>}; the lowest flat index wins
-    ties (:func:`_first_best`).  Returns the starts, the best grid values
-    and their states (the starts).
+    """The Bloch rows of a zoom, one per qubit superoperator of ``lmats``:
+    each row's block coefficients (:func:`_block_values`), its best value on
+    the grid of :func:`_bloch_grid` with cfg.grid_points per axis, and that
+    point's flat index; the lowest flat index wins ties
+    (:func:`_first_best`).
 
     The values are read off the affine Bloch picture: rho = sum_j r_j
     sigma_j / 2, so Delta(rho) = c0 I + c.sigma with (c0, c) = A r, A the
@@ -406,31 +270,36 @@ def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig):
     4 n points instead of n^2 when n % 4 == 0.  Raises ``ValueError`` when
     an A has an entry off that pattern.
 
-    The rows are evaluated one at a time, so the peak memory here does not
-    grow with the number of rows.
+    The zoom runs along the polar angle at azimuth 0 when the best point's
+    cos^2 is at least 1/2, else at pi/2.  In the weight t = sin^2(p/2) on
+    |1>, with the products (w00, w11, w01) of :func:`_block_values`,
+    r = (w00 + w11, 2 w01, 0, w00 - w11) there, or (w00 + w11, 0, 2 w01,
+    w00 - w11): a row is one block of :func:`_block_values`, the other
+    zero.
+
+    The grid is evaluated one row at a time, so the peak memory here does
+    not grow with the number of rows.
     """
     params, r = _bloch_grid(cfg.grid_points)
+    affine = np.zeros((len(lmats), 4, 4))
     tops, top_values = [], []
-    for lmat in lmats:
-        affine = np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES)
-        if np.any(affine[_OFF_AXES]):
+    for a, lmat in zip(affine, lmats):
+        a[:] = np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES)
+        if np.any(a[_OFF_AXES]):
             raise ValueError("a difference is not axis-aligned: its affine Bloch "
                              "matrix has entries off its diagonal and z shifts")
-        values = _tracenorm2(*(affine @ r))
+        values = _tracenorm2(*(a @ r))
         tops.append(int(_first_best(values)))
         top_values.append(values[tops[-1]])
-    starts = np.zeros((len(tops), 4), dtype=complex)
-    starts[:, :2] = _bloch_states(params[tops])
-    return starts, np.array(top_values), starts
-
-
-def _schmidt_states(params: np.ndarray) -> np.ndarray:
-    """Schmidt chart: sqrt(1 - t) |00> + sqrt(t) |11>, t in [0, 1]."""
-    t = params[:, 0]
-    states = np.zeros((params.shape[0], 4), dtype=complex)
-    states[:, 0] = np.sqrt(1.0 - t)
-    states[:, 3] = np.sqrt(t)
-    return states
+    tops = np.array(tops, dtype=int)
+    coef = np.zeros((len(lmats), 2, 6))
+    # c0 and c3 are shift + slope cos p, and cos p = w00 - w11
+    shift, slope = affine[:, [0, 3], 0], affine[:, [0, 3], 3]
+    coef[:, 0, [0, 2]], coef[:, 0, [1, 3]] = shift + slope, shift - slope
+    along_x = np.cos(params[tops, 1]) ** 2 >= 0.5
+    coef[:, 0, 4] = np.where(along_x, 2.0 * affine[:, 1, 1], 0.0)
+    coef[:, 0, 5] = np.where(along_x, 0.0, 2.0 * affine[:, 2, 2])
+    return coef, np.array(top_values), tops
 
 
 # the Z (x) Z eigenspaces {|00>, |11>} and {|01>, |10>} (the diagonal of
@@ -448,126 +317,171 @@ def _choi(lmats: np.ndarray) -> np.ndarray:
 
 
 def _restricted_rows(lmats: np.ndarray, cfg: SearchConfig):
-    """The restricted rows of a see-saw, one per qubit superoperator of
-    ``lmats``: each searches span{|00>, |11>} from the best interior point
-    of a grid over the Schmidt weight t.  A product probe (t = 0 or 1) is a
-    fixed point of the see-saw, so each row starts inside and keeps its
-    best grid value when that is higher; the lowest index wins ties
-    (:func:`_first_best`).  Returns the starts, the best grid values and
-    their states.
+    """The restricted rows of a zoom, one per qubit superoperator of
+    ``lmats``: each row's block coefficients (:func:`_block_values`), its
+    best value on the uniform grid of cfg.grid_points Schmidt weights t in
+    [0, 1], and that point's index; the lowest index wins ties
+    (:func:`_first_best`).
 
-    The grid is read off each pair's Choi matrix J, for all rows at once.
     The probe sqrt(1 - t)|00> + sqrt(t)|11> is sum_ab w_ab |aa><bb|, with
     w_ab the products of its two amplitudes, and id (x) Delta maps it to
-    the matrix with entries w_ab J[(a i), (b j)].  The family is
-    Z-covariant, so J is zero off the two Z (x) Z blocks, and the output's
-    trace norm is the sum of those of its 2x2 blocks
-    [[w00 J00, w01 J03], [., w11 J33]] and [[w00 J11, w01 J12], [., w11 J22]].
+    the matrix with entries w_ab J[(a i), (b j)], J the Choi matrix.  The
+    family is Z-covariant (K0 is diagonal and K1 anti-diagonal, and
+    mixtures keep this), so J is zero off the two Z (x) Z blocks, and the
+    output's trace norm is the sum of those of its 2x2 blocks
+    [[w00 Jpp, w01 Jpq], [., w11 Jqq]] for (p, q) = (0, 3) and (1, 2), with
+    Pauli coordinates c0 = (w00 Jpp + w11 Jqq) / 2, x + i y = w01 Jpq and
+    z = (w00 Jpp - w11 Jqq) / 2.  The grid is read for all rows at once.
     Raises ``ValueError`` when a J has an entry off those blocks.
     """
     choi = _choi(lmats)
     if np.any(choi[:, _OFF_BLOCKS]):
         raise ValueError("a difference is not Z-covariant: its Choi matrix "
                          "has entries off the Z (x) Z blocks")
-    states = _schmidt_states(np.linspace(0.0, 1.0, cfg.grid_points)[:, None])
-    s0, s1 = states[:, 0].real, states[:, 3].real
-    w00, w11, w01 = s0 * s0, s1 * s1, s0 * s1
-    values = 0.0
+    blocks = []
     for p, q in _BLOCKS:
-        a = choi[:, p, p, None].real * w00
-        b = choi[:, q, q, None].real * w11
-        c = choi[:, p, q, None] * w01
-        values = values + _tracenorm2(0.5 * (a + b), c.real, c.imag, 0.5 * (a - b))
-    starts = 1 + _first_best(values[:, 1:-1])
+        jpp, jqq, jpq = choi[:, p, p].real, choi[:, q, q].real, choi[:, p, q]
+        blocks.append([0.5 * jpp, 0.5 * jqq, 0.5 * jpp, -0.5 * jqq, jpq.real, jpq.imag])
+    coef = np.array(blocks).transpose(2, 0, 1)  # rows x 2 x 6
+    values = _block_values(coef, np.linspace(0.0, 1.0, cfg.grid_points)[None, :])
     tops = _first_best(values)
-    return states[starts], values[np.arange(len(tops)), tops], states[tops]
+    return coef, values[np.arange(len(tops)), tops], tops
 
 
-_BLOCH_BASIS = np.eye(4)[:, [0, 1]]  # |00>, |01>: the probes |0> (x) psi
-_SCHMIDT_BASIS = np.eye(4)[:, [0, 3]]  # |00>, |11>
+# the points a zoom level evaluates across its row's bracket; an odd count,
+# so that the bracket's centre is one of them
+_ZOOM_POINTS = 33
+_ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+
+
+def _zoom(coef, lo, hi, best, arg, refine_tol):
+    """Refine each row's best grid point inside its bracket.
+
+    Row i maximizes ``_block_values(coef[i], t)`` over t in
+    [lo[i], hi[i]], the weights of the grid neighbours of its best grid
+    point, whose value best[i] it holds at t = arg[i].  Each level
+    evaluates _ZOOM_POINTS evenly spaced weights of the bracket and shrinks
+    it 16-fold, to the two neighbours of the level's best point: the first
+    largest value, with no tie tolerance, which would steer every bracket
+    to the low end of a flat top.  A point replaces the row's best only
+    when strictly higher, so no row ends below its grid best.  A row stops
+    after the first level whose values spread (max - min) by less than
+    ``refine_tol``, or whose bracket did not narrow, a few ulps wide.  Rows
+    never mix.  Returns the best values, their weights and the levels each
+    row ran.
+    """
+    out_best, out_arg = best.copy(), arg.copy()
+    levels = np.zeros(len(best), dtype=int)
+    rows = np.arange(len(best))
+    level = 0
+    while rows.size:
+        level += 1
+        t = np.minimum(lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS, hi[:, None])
+        values = _block_values(coef, t)
+        k = np.arange(len(rows))
+        j = np.argmax(values, axis=1)
+        top = values[k, j]
+        up = top > best
+        best, arg = np.where(up, top, best), np.where(up, t[k, j], arg)
+        spread = top - np.min(values, axis=1)
+        width = hi - lo
+        lo = t[k, np.maximum(j - 1, 0)]
+        hi = t[k, np.minimum(j + 1, _ZOOM_POINTS - 1)]
+        go = (spread >= refine_tol) & (hi - lo < width)
+        if not go.all():
+            done = rows[~go]
+            out_best[done], out_arg[done], levels[done] = best[~go], arg[~go], level
+            rows, coef, best, arg = rows[go], coef[go], best[go], arg[go]
+            lo, hi = lo[go], hi[go]
+    return out_best, out_arg, levels
 
 
 def _grid_searches(
     lmats: np.ndarray, cfg: SearchConfig, bloch: bool = True, restricted: bool = True
 ) -> list[list[DistanceResult]]:
     """The Bloch and/or restricted search for each row of ``lmats`` (qubit
-    difference superoperators), all as the rows of one see-saw.
+    difference superoperators), all as the rows of one zoom.
 
-    Both grids read the qubit superoperators.  Every see-saw row runs on
-    its pair's extended superoperator, expanded from the qubit one
-    (:func:`channels.extend_superoperator`), in its search's basis, so each
-    has a 4x4 D-step and a 2x2 M-step.  A row's best grid point wins when
-    it is higher than the see-saw's value.  Rows never mix, so a result
-    does not depend on the other rows or searches.  Returns one list of
-    results per search run, the Bloch one first.  The Bloch arg is
-    the weight on |1> of psi, the restricted arg the Schmidt weight t.
+    A row's bracket is the weights of the grid neighbours of its best grid
+    point: of its polar neighbours for a Bloch row.  Rows never mix, so a
+    result does not depend on the other rows or searches.  Returns one list
+    of results per search run, the Bloch one first.  The Bloch arg is the
+    weight on |1> of the best probe, the restricted arg the Schmidt weight
+    t; iterations are the zoom's levels.
     """
-    ext = channels.extend_superoperator(lmats)
+    n = cfg.grid_points
     searches = []
     if bloch:
-        searches.append((_bloch_rows(lmats, cfg), _BLOCH_BASIS, 1, "bloch-grid"))
+        coef, top_values, tops = _bloch_rows(lmats, cfg)
+        per_polar = len(_bloch_grid(n)[0]) // n
+        weights = np.sin(np.linspace(0.0, math.pi, n) / 2.0) ** 2
+        searches.append((coef, top_values, weights, tops // per_polar, "bloch-grid"))
     if restricted:
-        searches.append((_restricted_rows(lmats, cfg), _SCHMIDT_BASIS, 3, "restricted"))
-    starts, top_values, top_states = (
-        np.concatenate(part) for part in zip(*(rows for rows, *_ in searches))
+        coef, top_values, tops = _restricted_rows(lmats, cfg)
+        searches.append((coef, top_values, np.linspace(0.0, 1.0, n), tops, "restricted"))
+    coef, best, lo, hi, arg = (
+        np.concatenate(part)
+        for part in zip(*(
+            (c, v, w[np.maximum(i - 1, 0)], w[np.minimum(i + 1, n - 1)], w[i])
+            for c, v, w, i, _ in searches
+        ))
     )
-    n = len(lmats)
-    basis = np.concatenate([np.broadcast_to(b, (n, 4, 2)) for _, b, *_ in searches])
-    best, psi, steps, capped = _seesaw(
-        np.concatenate([ext] * len(searches)), starts, basis, cfg.refine_tol
-    )
-    grid_wins = top_values > best
-    best[grid_wins], psi[grid_wins] = top_values[grid_wins], top_states[grid_wins]
-    converged = np.ones(len(best), dtype=bool)
-    converged[capped] = False
+    best, arg, levels = _zoom(coef, lo, hi, best, arg, cfg.refine_tol)
     results = []
-    for j, (_, _, amp, branch) in enumerate(searches):
-        part = slice(j * n, (j + 1) * n)
+    for j, (*_, branch) in enumerate(searches):
+        part = slice(j * len(lmats), (j + 1) * len(lmats))
         results.append([
-            DistanceResult(float(b), min(float(abs(p[amp]) ** 2), 1.0), branch,
-                           bool(c), int(s))
-            for b, p, c, s in zip(best[part], psi[part], converged[part], steps[part])
+            DistanceResult(float(b), float(t), branch, int(k))
+            for b, t, k in zip(best[part], arg[part], levels[part])
         ])
     return results
 
 
-def _pair_states(params: np.ndarray) -> np.ndarray:
-    """Pair chart: sqrt(1 - t)|0>|v0> + sqrt(t)|1>|v1>, t in [0, 1], where
-    v0 is the Bloch state at (polar, azimuth) and v1 = (-conj v0[1], conj v0[0])
-    is orthogonal to it.  By the SVD of its 2x2 amplitude matrix, every pure
-    two-qubit state is a chart point up to a unitary on the reference
-    (left) qubit."""
-    t = params[:, 0:1]
-    v0 = _bloch_states(params[:, 1:3])
-    v1 = np.stack([-v0[:, 1].conj(), v0[:, 0].conj()], axis=1)
-    return np.concatenate([np.sqrt(1.0 - t) * v0, np.sqrt(t) * v1], axis=1)
+# the Schmidt weight of a bound keeps this far from 0 and 1, where the
+# congruence C that certifies it would be singular
+_BOUND_CLAMP = 1e-5
 
 
-def _full_engine(c1, c2, cfg: SearchConfig) -> DistanceResult:
-    """Lockstep see-saw over all of C^4 from seeded pair-chart starts, t,
-    polar and azimuth drawn uniformly in turn, every start on the pair's one
-    superoperator; the lowest start index wins ties.  arg is the weight on
-    |11> of the winning probe."""
-    lmat = channels.extend_superoperator(_delta_superop(c1, c2))
-    rng = np.random.default_rng(np.random.PCG64(cfg.rng_seed))
-    k = cfg.multistarts
-    ranges = ((0.0, 1.0), (0.0, math.pi), (0.0, 2.0 * math.pi))
-    starts = np.stack([rng.uniform(lo, hi, size=k) for lo, hi in ranges], axis=1)
-    best, psi, steps, capped = _seesaw(
-        lmat, _pair_states(starts), np.eye(4), cfg.refine_tol
+def _entangled_bounds(lmats: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Upper bounds on ||(id (x) Delta)(psi psi^dag)||_1 over every
+    two-qubit probe psi, one per qubit difference superoperator of
+    ``lmats``, each certified at its Schmidt weight in ``t`` (Watrous's SDP
+    dual, arXiv:1207.5726).
+
+    A probe is (A (x) I) sum_a |aa> for a 2x2 A with tr(A^dag A) = 1, so
+    id (x) Delta maps it to (A (x) I) J (A (x) I)^dag, J the Choi matrix of
+    Delta.  Take C = diag(sqrt(1 - t), sqrt(t)) (x) I, t clamped to
+    [1e-5, 1 - 1e-5], and Y = C^-1 |C J C| C^-1.  Y >= +-J by congruence,
+    so the probe's trace norm is at most
+    tr((A (x) I) Y (A (x) I)^dag) = tr(A^dag A Tr_2 Y) <= lambda_max(Tr_2 Y).
+    The computed Y falls short of Y >= +-J by the rounding delta, the most
+    negative eigenvalue of Y - J and Y + J, so the bound is
+    lambda_max(Tr_2 Y) + 2 delta (Tr_2 of delta I is 2 delta I), plus
+    _TIE_TOL max(lambda_max, 2) for the rounding of lambda_max and of the
+    trace norms compared with it.  It holds at any t, and is tight at the
+    restricted maximizer: exactly so on a quasi-extreme pair, where without
+    the allowance it came out 2 ulps below the restricted value.
+    """
+    t = np.clip(t, _BOUND_CLAMP, 1.0 - _BOUND_CLAMP)
+    c = np.sqrt(np.stack([1.0 - t, 1.0 - t, t, t], axis=1))
+    scale = c[:, :, None] * c[:, None, :]
+    choi = _choi(lmats)
+    w, v = np.linalg.eigh(scale * choi)
+    y = (v * np.abs(w)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2) / scale
+    y = 0.5 * (y + np.swapaxes(y.conj(), 1, 2))
+    lowest = np.minimum(
+        np.linalg.eigvalsh(y - choi)[:, 0], np.linalg.eigvalsh(y + choi)[:, 0]
     )
-    i = int(np.argmax(best))
-    weight = float(abs(psi[i, 3]) ** 2)
-    return DistanceResult(
-        float(best[i]), weight, "full", capped.size == 0, int(steps[i])
-    )
+    marginal = np.trace(y.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
+    top = np.linalg.eigvalsh(marginal)[:, -1]
+    return top + 2.0 * np.maximum(-lowest, 0.0) + _TIE_TOL * np.maximum(top, 2.0)
 
 
 def brute_max_single(c1, c2, cfg: SearchConfig = DEFAULT_CONFIG) -> DistanceResult:
     """Maximize the output trace distance over the Bloch sphere.
 
     Uniform (polar, azimuth) grid with cfg.grid_points per axis, then the
-    see-saw over all of C^2 from the best grid point.  arg is the weight
+    zoom along the polar angle next to its best point.  arg is the weight
     on |1> of the winning probe.
     """
     return _grid_searches(_superops([(c1, c2)]), cfg, restricted=False)[0][0]
@@ -578,28 +492,26 @@ def brute_max_entangled(
 ) -> DistanceResult:
     """Maximize the extended-output trace distance over two-qubit probes.
 
-    Both modes search states up to a unitary on the reference qubit, which
-    commutes with id (x) N and leaves the trace distance unchanged.
-    restricted mode searches the family sqrt(1 - t)|00> + sqrt(t)|11> with
-    a1 real (a phase on |11> is such a unitary).  full mode reaches every
-    pure two-qubit state by seeded multistart ascent over the pair chart.
+    Searches the family sqrt(1 - t)|00> + sqrt(t)|11> (up to a unitary on
+    the reference qubit, which commutes with id (x) N and leaves the trace
+    distance unchanged): a grid over t, then the zoom next to its best
+    point.  arg is t.  No two-qubit probe does better by more than the
+    certified gap of :func:`_entangled_bounds` at arg.  ``mode`` must be
+    ``"restricted"``, the one search there is.
     """
-    if mode == "restricted":
-        return _grid_searches(_superops([(c1, c2)]), cfg, bloch=False)[0][0]
-    if mode == "full":
-        return _full_engine(c1, c2, cfg)
-    raise ValueError(f"mode must be 'restricted' or 'full', got {mode!r}")
+    if mode != "restricted":
+        raise ValueError(f"mode must be 'restricted', got {mode!r}")
+    return _grid_searches(_superops([(c1, c2)]), cfg, bloch=False)[0][0]
 
 
 def brute_max_many(
     pairs, cfg: SearchConfig = DEFAULT_CONFIG
 ) -> list[tuple[DistanceResult, DistanceResult]]:
-    """``(brute_max_single, restricted brute_max_entangled)`` for every pair.
+    """``(brute_max_single, brute_max_entangled)`` for every pair.
 
-    Each search is one row of a single see-saw over all the pairs: the
-    first n rows are the Bloch searches, the last n the restricted ones,
-    all on the pairs' extended superoperators.  Rows never mix, so every
-    result equals its one-pair call.
+    Each search is one row of a single zoom over all the pairs: the first
+    n rows are the Bloch searches, the last n the restricted ones.  Rows
+    never mix, so every result equals its one-pair call.
     """
     pairs = list(pairs)
     if not pairs:

@@ -4,7 +4,7 @@ Every operator in this package is either a single-qubit matrix (2x2) or a
 two-qubit matrix (4x4), so this module accepts exactly those two shapes.
 It checks Hermiticity within a fixed tolerance and takes eigenvalues and
 eigenvectors from LAPACK (``numpy.linalg.eigh``) at both sizes, the same
-solver the oracle's batched searches use.
+solver the oracle's batched Lemma 2 bound uses.
 """
 
 from __future__ import annotations

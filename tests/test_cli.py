@@ -42,7 +42,7 @@ class TestParams:
         )
         assert code == 0
         rec = json.loads(out)
-        assert rec["schema_version"] == 2
+        assert rec["schema_version"] == 3
         p = rec["params"]
         assert p["alpha"] == 0
         assert p["beta"] == -1
@@ -256,6 +256,21 @@ class TestSweep:
         )
         assert code == 1 and out == ""
         assert err == f"error: axis bounds must be finite, got {spec!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_axis_span_rejected(self, tmp_path, capsys):
+        # both bounds are finite, but stop - start overflows to inf; unchecked,
+        # the cells became nan and the run failed with "phi must lie in
+        # [0, pi], got nan", naming no axis
+        out_path = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "phi2=1", "theta2=0.2",
+            "--grid", "phi1=-1e308:1e308:3", "--grid", "theta1=0:1:2",
+            "--out", str(out_path),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "phi1" in err and "nan" not in err
         assert list(tmp_path.iterdir()) == []
 
     @staticmethod
@@ -563,11 +578,13 @@ class TestVerify:
         assert len(rec["report"]["cases"]) == 3
 
     def test_montecarlo_golden(self, capsys):
-        # taken before simulate became the one experiment path
+        # re-pinned for schema_version 3 and the zoomed restricted search,
+        # which moved the useful pair's distance by 5.6e-17; every empirical
+        # frequency is unchanged
         digest = stdout_digest(
             capsys, ["verify", "--mode", "montecarlo", "--trials", "20000", "--seed", "3"]
         )
-        assert digest == "07bfc2637bfa98a3236726843b570ee58174f0efe0a8c86e799fd94f931fe4e4"
+        assert digest == "9b36f96d4d154eaa9056911c6d2b2432532c59943200667d1145f1bb2f35d01b"
 
     def test_samples_outside_sampled_modes_rejected(self, capsys, monkeypatch):
         # the option used to be ignored in montecarlo mode, and the run exited 0
@@ -816,10 +833,12 @@ class TestSimulate:
         assert json.loads(out)["distance"] == json.loads(expected)["distance"]
 
     def test_golden_bytes(self, capsys):
-        # taken before simulate became the one experiment path
+        # re-pinned for schema_version 3 and the zoomed restricted search,
+        # which moved the --optimal distances by at most 8.9e-16; every
+        # empirical_success is unchanged
         assert len(SIMULATE_GOLDEN) == 46
         assert stdout_digest(capsys, *SIMULATE_GOLDEN) == (
-            "4edc14cb934e5fa84c004a560db57e9ce3eb5cd608551beff28b2d32ce93e87c"
+            "5fe08416b916bace7e297bbe518fafb2524172892cf49627d5f9062190517d0d"
         )
 
     @pytest.mark.parametrize("probe", PROBES)
@@ -922,7 +941,7 @@ class TestOneAnalysisPerPair:
             return cls
 
         monkeypatch.setattr(discrim, "classify_pair", recording)
-        cfg = oracle.SearchConfig(grid_points=64, multistarts=16, rng_seed=3)
+        cfg = oracle.SearchConfig(grid_points=64)
         rep = checks.check_tree(12, 3, cfg)
         assert rep["retained"] + rep["discarded"] == len(verdicts) == 12
         assert 0 < sum(verdicts) < 12

@@ -87,3 +87,37 @@ def test_benchmark_layers_resolve():
         layer, attr = name.split(".")
         assert layer in tracing.LAYERS
         assert callable(getattr(importlib.import_module(f"entdisc.{layer}"), attr))
+
+
+def test_benchmark_cross_check_runs_on_clean_outcomes(monkeypatch):
+    # the benchmark's correctness check re-derives outputs with the oracle,
+    # through the SearchConfig fields and the brute_max_entangled mode it
+    # passes; a change that breaks that call shows here
+    import importlib.util
+
+    from entdisc import channels, discrim, oracle
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    lit1, lit2 = "ad(0.7)", "mix(0.3;1.2,0.4;0.3,2.0)"
+    c1, c2 = channels.parse_channel(lit1), channels.parse_channel(lit2)
+    params = discrim.compute_params(c1, c2)
+    probe, _ = oracle.optimal_entangled_probe(c1, c2)
+    distance, _ = oracle.simulate(c1, c2, probe, 100, 1)
+    outcomes = [
+        workloads.Outcome(
+            workloads.Op("classify", ["classify", lit1, lit2]), 0.001, 0, "",
+            evidence=[("maxima", lit1, lit2, params.single.value, params.entangled.value)],
+        ),
+        workloads.Outcome(
+            workloads.Op("simulate", ["simulate", lit1, lit2, "--optimal"]), 0.001, 0, "",
+            evidence=[("probe", lit1, lit2, "entangled", distance)],
+        ),
+    ]
+    assert workloads.cross_check(outcomes, "verify-tree", 3) == 2
+    assert [o.problems for o in outcomes] == [[], []]

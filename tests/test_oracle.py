@@ -8,19 +8,57 @@ from entdisc import channels, checks, discrim, oracle
 from entdisc.channels import ExtremalChannel, QubitChannel
 from entdisc.oracle import Measurement, PureState, SearchConfig
 
-FAST = SearchConfig(grid_points=64, multistarts=16, refine_tol=1e-10, rng_seed=9)
+FAST = SearchConfig(grid_points=64, refine_tol=1e-10)
 PRODUCT_TRAP = (
     QubitChannel.extremal(2.866637509083145, 0.22126097025033295),
     QubitChannel.extremal(3.0911674279949026, 1.5505448436716018),
 )
+# a restricted row of `verify --mode tree --seed 1725131899` whose maximum
+# is the product probe |00>, at t = 0
+PRODUCT_MAXIMUM = (
+    QubitChannel(
+        0.13023154547026672,
+        ExtremalChannel(2.6772833006734484, 0.8077800216169402),
+        ExtremalChannel(1.0357042591200658, 1.478547736364059),
+    ),
+    QubitChannel(
+        0.7608705236667526,
+        ExtremalChannel(2.8553474380054444, 0.12650898375698397),
+        ExtremalChannel(2.105489668859063, 0.8221248033549091),
+    ),
+)
+# A zoom level narrows a bracket at least 16-fold, and a bracket starts at
+# most two grid cells wide, so a row reaches the float resolution of its
+# bracket within about 13 levels; 16 leaves room.
+LEVEL_CAP = 16
+
+
+def bloch_states(params):
+    """The qubit probes at the (polar, azimuth) rows of ``params``."""
+    polar, azim = params[:, 0], params[:, 1]
+    return np.stack(
+        [np.cos(polar / 2.0), np.exp(1j * azim) * np.sin(polar / 2.0)], axis=1
+    )
 
 
 def bloch_probe(polar, azimuth):
     """The qubit probe at (polar, azimuth) on the Bloch sphere."""
-    return PureState((
-        complex(math.cos(polar / 2.0)),
-        complex(math.cos(azimuth), math.sin(azimuth)) * math.sin(polar / 2.0),
-    ))
+    return PureState(tuple(bloch_states(np.array([[polar, azimuth]]))[0]))
+
+
+def schmidt_states(t):
+    """The pair probes sqrt(1 - t)|00> + sqrt(t)|11>, one per weight."""
+    states = np.zeros((len(t), 4), dtype=complex)
+    states[:, 0], states[:, 3] = np.sqrt(1.0 - t), np.sqrt(t)
+    return states
+
+
+def pair_chart_point(t, polar, azim):
+    """sqrt(1 - t)|0>|v0> + sqrt(t)|1>|v1>: v0 the Bloch state at (polar,
+    azim), v1 = (-conj v0[1], conj v0[0]) orthogonal to it."""
+    v0 = bloch_probe(polar, azim).vector
+    v1 = np.array([-v0[1].conj(), v0[0].conj()])
+    return np.concatenate([math.sqrt(1.0 - t) * v0, math.sqrt(t) * v1])
 
 
 def norm1(d):
@@ -65,8 +103,14 @@ class TestStates:
             PureState(amps)
 
     def test_bloch_construction(self):
-        s = oracle._bloch_states(np.array([[math.pi / 2, 0.0]]))[0]
-        np.testing.assert_allclose(s, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+        # the Bloch grid's affine coordinates r = (1, x, y, z) are the Bloch
+        # vectors of the probes at its (polar, azimuth) points
+        params, r = oracle._bloch_grid(64)
+        s = bloch_states(params)
+        overlap = s[:, 0].conj() * s[:, 1]
+        bloch = [np.ones(len(s)), 2 * overlap.real, 2 * overlap.imag,
+                 np.abs(s[:, 0]) ** 2 - np.abs(s[:, 1]) ** 2]
+        np.testing.assert_allclose(r, np.array(bloch), atol=1e-15)
 
     def test_schmidt(self):
         s = PureState.schmidt(0.6, 0.8)
@@ -85,7 +129,9 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             SearchConfig(rng_seed=-1)
         # counts that fail deep in numpy, and tolerances that stop every
-        # see-saw row after one step or never
+        # zoom row after one level or only at float resolution; multistarts
+        # and rng_seed are read by no search but still validated, for the
+        # configurations that name them
         for field, value in [
             ("grid_points", 96.5),
             ("grid_points", True),
@@ -181,7 +227,7 @@ class TestDeltas:
                     r0 = wh[0]  # conj(W[:, 0])
                     polar = 2.0 * math.acos(min(abs(r0[0]), 1.0))
                     azim = (np.angle(r0[1]) - np.angle(r0[0])) % (2.0 * math.pi)
-                    point = oracle._pair_states(np.array([[s[1] ** 2, polar, azim]]))[0]
+                    point = pair_chart_point(s[1] ** 2, polar, azim)
                     assert np.linalg.norm(point) == pytest.approx(1.0, abs=1e-14)
                     chart = norm1(
                         oracle.delta(c1, c2, PureState(tuple(point)))
@@ -190,17 +236,6 @@ class TestDeltas:
                         oracle.delta(c1, c2, PureState(tuple(amps)))
                     )
                     assert abs(chart - state) < 1e-12
-
-    def test_pair_chart_points(self):
-        rng = np.random.default_rng(60)
-        params = rng.uniform(0, 1, size=(50, 3)) * [1.0, math.pi, 2.0 * math.pi]
-        states = oracle._pair_states(params)
-        np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-15)
-        # polar angle 0 is the Schmidt family of the restricted search
-        params[:, 1] = 0.0
-        np.testing.assert_array_equal(
-            oracle._pair_states(params), oracle._schmidt_states(params[:, :1])
-        )
 
     def test_schmidt_probe_block_structure(self):
         # the output difference on a0|00> + a1|11> consists of a block on
@@ -246,7 +281,7 @@ class TestBruteMaxSingle:
             c1, c2 = random_pair(rng)
             v1 = oracle.brute_max_single(c1, c2, FAST).value
             v2 = oracle.brute_max_single(
-                c1, c2, SearchConfig(grid_points=128, multistarts=16, rng_seed=9)
+                c1, c2, SearchConfig(grid_points=128)
             ).value
             assert abs(v1 - v2) < 1e-6
 
@@ -255,7 +290,8 @@ class TestBruteMaxEntangled:
     def test_identical_channels(self):
         c = QubitChannel.extremal(0.9, 0.4)
         assert oracle.brute_max_entangled(c, c, FAST).value < 1e-12
-        assert oracle.brute_max_entangled(c, c, FAST, mode="full").value < 1e-10
+        lmats = oracle._superops([(c, c)])
+        assert oracle._entangled_bounds(lmats, np.array([0.5]))[0] < 1e-12
 
     def test_orthogonalizing_pair(self):
         r = oracle.brute_max_entangled(
@@ -265,17 +301,23 @@ class TestBruteMaxEntangled:
         assert r.arg == pytest.approx(1.0, abs=1e-6)
 
     def test_full_never_beats_restricted(self):
+        # seeded probes over all of C^4 stay below the restricted search;
+        # TestCertifiedBound proves it for every probe
         rng = np.random.default_rng(54)
-        for _ in range(4):
-            c1, c2 = random_pair(rng)
+        for mixtures in (False, True, False, True):
+            c1, c2 = random_pair(rng, mixtures=mixtures)
             restricted = oracle.brute_max_entangled(c1, c2, FAST).value
-            full = oracle.brute_max_entangled(c1, c2, FAST, mode="full").value
-            assert full <= restricted + 1e-6
+            for _ in range(100):
+                amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+                probe = PureState(tuple(amps / np.linalg.norm(amps)))
+                assert norm1(oracle.delta(c1, c2, probe)) <= restricted + 1e-12
 
     def test_unknown_mode_rejected(self):
+        # "full" named the seeded search over C^4 that the bound replaced
         c = QubitChannel.extremal(0.5, 0.1)
-        with pytest.raises(ValueError, match="mode"):
-            oracle.brute_max_entangled(c, c, FAST, mode="exhaustive")
+        for mode in ("exhaustive", "full"):
+            with pytest.raises(ValueError, match="mode must be 'restricted'"):
+                oracle.brute_max_entangled(c, c, FAST, mode=mode)
 
     def test_optimal_probe_reaches_reported_value(self):
         rng = np.random.default_rng(55)
@@ -286,13 +328,106 @@ class TestBruteMaxEntangled:
 
     @pytest.mark.parametrize("grid", [96, 128, 256])
     def test_product_probe_trap(self, grid):
-        # at grid 96 the best grid point is the product probe |00>, a fixed
-        # point of the see-saw 2.8e-5 below the maximum; the search must
-        # start inside the Schmidt family
+        # at grid 96 the best grid point is the product probe |00>, 2.8e-5
+        # below the maximum, which lies inside the first grid cell
         c1, c2 = PRODUCT_TRAP
         res = oracle.brute_max_entangled(c1, c2, SearchConfig(grid_points=grid))
         closed = discrim.compute_params(c1, c2).entangled.value
         assert res.value == pytest.approx(closed, abs=1e-12)
+
+
+class TestCertifiedBound:
+    """The bound over every two-qubit probe, checked against seeded probes
+    of all of C^4 through :func:`oracle.delta`, with nothing from discrim."""
+
+    # both clamp edges, and the ends they clamp
+    WEIGHTS = (0.0, 1e-5, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-5, 1.0)
+
+    @staticmethod
+    def pairs():
+        rng = checks._rng(71)
+        identity = channels.parse_channel("identity")
+        return (
+            checks._draw_pairs(6, rng, checks.sample_extremal)
+            + checks._draw_pairs(6, rng, checks.sample_mixture)
+            + checks._draw_pairs(6, rng, checks.sample_quasi_extreme)
+            + [(identity, identity), PRODUCT_TRAP]
+        )
+
+    def test_bound_holds_over_every_probe(self):
+        pairs = self.pairs()
+        rng = np.random.default_rng(72)
+        amps = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+        probes = [PureState(tuple(a / np.linalg.norm(a))) for a in amps]
+        # the restricted maximizer, moved by a unitary on the reference
+        # qubit: off the Schmidt plane, with the largest value there is
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        worst = []
+        for c1, c2 in pairs:
+            best, _ = oracle.optimal_entangled_probe(c1, c2, FAST)
+            moved = PureState(tuple(np.kron(u, np.eye(2)) @ best.vector))
+            worst.append(max(norm1(oracle.delta(c1, c2, p)) for p in probes + [moved]))
+        lmats = oracle._superops(pairs)
+        for t in self.WEIGHTS:
+            bounds = oracle._entangled_bounds(lmats, np.full(len(pairs), t))
+            assert np.all(np.array(worst) <= bounds), t
+
+    def test_bound_is_tight_at_the_restricted_maximizer(self):
+        pairs = self.pairs()
+        lmats = oracle._superops(pairs)
+        results = oracle._grid_searches(lmats, SearchConfig(grid_points=128), bloch=False)[0]
+        values = np.array([r.value for r in results])
+        gaps = oracle._entangled_bounds(lmats, np.array([r.arg for r in results])) - values
+        assert np.all(gaps >= 0.0)
+        assert np.max(gaps) <= checks.LEMMA_TOL
+
+
+class TestZoom:
+    """The zoom ends within LEVEL_CAP levels, returns at least its grid
+    best, and gives the same bits twice."""
+
+    CFG = SearchConfig(grid_points=96)
+    CASES = {
+        # an all-zero row
+        "identical": (QubitChannel.extremal(0.9, 0.4), QubitChannel.extremal(0.9, 0.4)),
+        # two maps of the family cos(theta) = cos(phi): the restricted
+        # profile is flat to rounding (its grid spreads by 4.4e-16)
+        "quasi-extreme": (QubitChannel.extremal(0.7, 0.7), QubitChannel.extremal(1.9, 1.9)),
+        # best at t = 0 (restricted) and at t = 1 (both searches)
+        "product-maximum": PRODUCT_MAXIMUM,
+        "orthogonalizing": (QubitChannel.extremal(math.pi / 2, 0), QubitChannel.extremal(0, 0)),
+    }
+
+    @staticmethod
+    def bits(results):
+        return [(r.value.hex(), r.arg.hex(), r.iterations) for r in results]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_ends_within_the_cap_at_or_above_the_grid_best(self, case):
+        lmats = oracle._superops([self.CASES[case]])
+        grid_best = [
+            oracle._bloch_rows(lmats, self.CFG)[1][0],
+            oracle._restricted_rows(lmats, self.CFG)[1][0],
+        ]
+        results = [part[0] for part in oracle._grid_searches(lmats, self.CFG)]
+        again = [part[0] for part in oracle._grid_searches(lmats, self.CFG)]
+        assert self.bits(results) == self.bits(again)
+        for r, best in zip(results, grid_best):
+            assert 1 <= r.iterations <= LEVEL_CAP
+            assert r.value >= best
+        if case == "identical":
+            # every level of an all-zero row spreads by 0
+            assert self.bits(results) == [("0x0.0p+0", "0x0.0p+0", 1)] * 2
+        if case == "quasi-extreme":
+            coef = oracle._restricted_rows(lmats, self.CFG)[0]
+            grid = oracle._block_values(coef, np.linspace(0.0, 1.0, 96)[None, :])
+            assert np.ptp(grid) < 1e-15
+        if case == "product-maximum":
+            # the zoom stops once a level spreads by less than refine_tol,
+            # a few ulps of t from the end
+            assert results[1].arg < 1e-12
+        if case == "orthogonalizing":
+            assert [r.arg for r in results] == [1.0, 1.0]
 
 
 class TestHelstrom:
@@ -402,121 +537,44 @@ class TestSimulate:
 
 class TestConvergence:
     # criterion 2's search budget
-    CFG = SearchConfig(grid_points=128, multistarts=24, rng_seed=202)
-
-    @staticmethod
-    def lemma2_pairs(count):
-        rng = checks._rng(202)
-        return [
-            (checks.sample_extremal(rng), checks.sample_extremal(rng))
-            for _ in range(count)
-        ]
-
-    def test_full_search_reports_the_cap(self, monkeypatch):
-        # the third pair needs more than two see-saw steps in every search
-        c1, c2 = self.lemma2_pairs(3)[2]
-        assert oracle.brute_max_entangled(c1, c2, self.CFG, mode="full").converged
-        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
-        capped = oracle.brute_max_entangled(c1, c2, self.CFG, mode="full")
-        assert capped.converged is False
-        assert capped.value > 0.7
-        assert oracle.brute_max_single(c1, c2, self.CFG).converged is False
-        assert oracle.brute_max_entangled(c1, c2, self.CFG).converged is False
-        _, res = oracle.optimal_entangled_probe(c1, c2, self.CFG)
-        assert res.converged is False
+    CFG = SearchConfig(grid_points=128)
 
     def test_grid_searches_converge(self):
-        c1, c2 = self.lemma2_pairs(1)[0]
-        assert oracle.brute_max_single(c1, c2, self.CFG).converged
-        assert oracle.brute_max_entangled(c1, c2, self.CFG).converged
+        rng = checks._rng(202)
+        c1, c2 = checks.sample_extremal(rng), checks.sample_extremal(rng)
         _, res = oracle.optimal_entangled_probe(c1, c2, self.CFG)
-        assert res.converged
-
-    def test_seesaw_lists_capped_rows(self, monkeypatch):
-        # |00> is a fixed point on span{|00>, |11>} and stops at once; the
-        # interior start keeps gaining past a cap of two steps
-        c1, c2 = PRODUCT_TRAP
-        closed = discrim.compute_params(c1, c2).entangled.value
-        lmat = channels.extend_superoperator(oracle._delta_superop(c1, c2))
-        starts = oracle._schmidt_states(np.array([[0.0], [0.5]]))
-        basis = np.eye(4)[:, [0, 3]]
-        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
-        best, states, steps, capped = oracle._seesaw(lmat, starts, basis, 1e-15)
-        assert capped.tolist() == [1]
-        assert steps.tolist() == [1, 2]
-        np.testing.assert_array_equal(states[0], starts[0])
-        assert best[1] < closed - 1e-9
-        monkeypatch.undo()
-        best, _, steps, capped = oracle._seesaw(lmat, starts, basis, 1e-15)
-        assert capped.tolist() == []
-        assert steps[0] == 1 and 2 < steps[1] <= oracle._MAX_STEPS
-        assert best[1] == pytest.approx(closed, abs=1e-12)
-
-    def test_every_report_counts_capped_rows(self, monkeypatch):
-        reports = [
-            lambda: checks.check_lemma1(6, 3, self.CFG),
-            lambda: checks.check_lemma2(3, 3, self.CFG),
-            lambda: checks.check_quasi_extreme(6, 3, self.CFG),
-            lambda: checks.check_tree(8, 3, self.CFG),
-        ]
-        for report in reports:
-            assert report()["seesaw_steps"]["capped"] == 0
-        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
-        for report in reports:
-            steps = report()["seesaw_steps"]
-            assert 0 < steps["capped"] <= steps["rows"]
-            assert steps["max"] == 2
+        for r in (
+            oracle.brute_max_single(c1, c2, self.CFG),
+            oracle.brute_max_entangled(c1, c2, self.CFG),
+            res,
+        ):
+            assert 1 <= r.iterations <= LEVEL_CAP
 
     def test_product_probe_maximum_is_reached_not_crawled_to(self):
-        # a restricted row of `verify --mode tree --seed 1725131899` whose
-        # maximum is the product probe |00>: from the best interior grid
-        # point, plain see-saw steps shrink t by about 5% each and ran
-        # 1856 steps before stopping short of the endpoint
-        c1 = QubitChannel(
-            0.13023154547026672,
-            ExtremalChannel(2.6772833006734484, 0.8077800216169402),
-            ExtremalChannel(1.0357042591200658, 1.478547736364059),
-        )
-        c2 = QubitChannel(
-            0.7608705236667526,
-            ExtremalChannel(2.8553474380054444, 0.12650898375698397),
-            ExtremalChannel(2.105489668859063, 0.8221248033549091),
-        )
-        cfg = SearchConfig(grid_points=96, multistarts=16, rng_seed=1725131899)
+        # plain see-saw steps from the best interior grid point shrank t by
+        # about 5% each and ran 1856 steps before stopping short of the
+        # endpoint
+        c1, c2 = PRODUCT_MAXIMUM
+        cfg = SearchConfig(grid_points=96)
         closed = discrim.compute_params(c1, c2).entangled
         assert closed.arg == 0.0
         res = oracle.brute_max_entangled(c1, c2, cfg)
-        assert res.converged and res.iterations <= 50
+        assert res.iterations <= LEVEL_CAP
         assert res.value == pytest.approx(closed.value, abs=1e-12)
 
     def test_quasi_extreme_searches_reach_their_maxima(self):
-        # criterion 3: no row stops at the cap, so the gap between the two
-        # searches is rounding, not the distance of a capped row
-        cfg = SearchConfig(grid_points=96, multistarts=16, rng_seed=303)
+        # criterion 3: the gap between the two searches is rounding
+        cfg = SearchConfig(grid_points=96)
         rep = checks.check_quasi_extreme(100, 303, cfg)
         assert rep["max_gap"] < 1e-12
-        assert rep["seesaw_steps"]["max"] < oracle._MAX_STEPS
-        assert rep["seesaw_steps"]["capped"] == 0
-
-    def test_lemma2_counts_unconverged_full_searches(self, monkeypatch):
-        rep = checks.check_lemma2(3, 202, self.CFG)
-        assert rep["passed"]
-        assert rep["full_unconverged"] == 0
-        full = rep["full_seesaw_steps"]
-        assert full["rows"] == 3 and full["capped"] == 0
-        assert 1 <= full["max"] < oracle._MAX_STEPS
-        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
-        rep = checks.check_lemma2(3, 202, self.CFG)
-        assert rep["full_unconverged"] == 3
-        assert rep["full_seesaw_steps"]["capped"] == 3
-        assert rep["full_seesaw_steps"]["max"] == 2
+        assert rep["refine_levels"]["max"] <= LEVEL_CAP
 
 
 def eigensolver_values(lmats, cfg):
     """The restricted grid the way it ran before it read Choi blocks: one
     LAPACK eigvalsh per grid point of each pair's extended output.  Returns
     the grid's states and the values, one row per pair."""
-    states = oracle._schmidt_states(np.linspace(0.0, 1.0, cfg.grid_points)[:, None])
+    states = schmidt_states(np.linspace(0.0, 1.0, cfg.grid_points))
     values = [
         np.sum(np.abs(np.linalg.eigvalsh(oracle._delta_batch(ext, states))), axis=1)
         for ext in channels.extend_superoperator(lmats)
@@ -581,37 +639,27 @@ class TestRestrictedBlocks:
     def test_matches_the_eigensolver_path(self, grid):
         lmats = oracle._superops(self.pairs())
         cfg = SearchConfig(grid_points=grid)
-        starts, top_values, tops = oracle._restricted_rows(lmats, cfg)
-        states, values = eigensolver_values(lmats, cfg)
+        _, top_values, tops = oracle._restricted_rows(lmats, cfg)
+        _, values = eigensolver_values(lmats, cfg)
         rows = np.arange(len(lmats))
         # under the shared tie rule the picks do not depend on rounding: a
         # literal pair may have two grid points equal in exact arithmetic
         # (t and 1 - t for identity against a Pauli channel), and both paths
         # take the lower one
-        ref_starts = 1 + oracle._first_best(values[:, 1:-1])
         ref_tops = oracle._first_best(values)
         assert np.max(np.abs(top_values - values[rows, ref_tops])) <= 1e-15
-        # the grid index of each pick
-        picks = [
-            np.argmax(np.all(found[:, None, :] == states[None, :, :], axis=2), axis=1)
-            for found in (starts, tops)
-        ]
-        np.testing.assert_array_equal(picks[0], ref_starts)
-        np.testing.assert_array_equal(picks[1], ref_tops)
+        np.testing.assert_array_equal(tops, ref_tops)
 
     def test_quasi_extreme_starts_do_not_depend_on_rounding(self):
         # a quasi-extreme pair's restricted profile is flat or symmetric in
         # t <-> 1 - t; the eigensolver and the Choi blocks round its tied
-        # points differently, yet pick the same start and top
+        # points differently, yet pick the same top, where the zoom starts
         pairs = checks._draw_pairs(200, checks._rng(303), checks.sample_quasi_extreme)
         lmats = oracle._superops(pairs)
         cfg = SearchConfig()
-        starts, _, tops = oracle._restricted_rows(lmats, cfg)
-        states, values = eigensolver_values(lmats, cfg)
-        np.testing.assert_array_equal(
-            starts, states[1 + oracle._first_best(values[:, 1:-1])]
-        )
-        np.testing.assert_array_equal(tops, states[oracle._first_best(values)])
+        _, _, tops = oracle._restricted_rows(lmats, cfg)
+        _, values = eigensolver_values(lmats, cfg)
+        np.testing.assert_array_equal(tops, oracle._first_best(values))
 
     def test_rows_equal_one_row_calls(self):
         lmats = oracle._superops(self.pairs()[::17])
@@ -674,14 +722,14 @@ class TestAxisAlignedBloch:
 
     @pytest.mark.parametrize("grid", [64, 65, 96, 97, 100, 128, 255, 256])
     def test_matches_the_full_grid(self, lmats, grid):
-        starts, top_values, _ = oracle._bloch_rows(lmats, SearchConfig(grid_points=grid))
+        _, top_values, tops = oracle._bloch_rows(lmats, SearchConfig(grid_points=grid))
         params, r = full_bloch_grid(grid)
-        tops = []
+        ref_tops = []
         for lmat, value in zip(lmats, top_values):
             values = full_bloch_values(lmat, r)
-            tops.append(int(oracle._first_best(values)))
-            assert value == values[tops[-1]]
-        np.testing.assert_array_equal(starts[:, :2], oracle._bloch_states(params[tops]))
+            ref_tops.append(int(oracle._first_best(values)))
+            assert value == values[ref_tops[-1]]
+        np.testing.assert_array_equal(oracle._bloch_grid(grid)[0][tops], params[ref_tops])
 
     def test_first_best_takes_the_lowest_index_within_the_tie_tolerance(self):
         tol = oracle._TIE_TOL
@@ -733,7 +781,7 @@ class TestAxisAlignedBloch:
 
 class TestBatchedEngine:
     # the search budget of `entdisc verify`
-    CFG = SearchConfig(grid_points=96, multistarts=16, rng_seed=7)
+    CFG = SearchConfig(grid_points=96)
 
     @staticmethod
     def pairs(seed, count):
@@ -749,28 +797,30 @@ class TestBatchedEngine:
         assert oracle.brute_max_many([], self.CFG) == []
 
     @pytest.fixture
-    def seesaw_rows(self, monkeypatch):
-        """The row count of every _seesaw call, in call order."""
+    def zoom_rows(self, monkeypatch):
+        """The row count of every _zoom call, in call order."""
         calls = []
-        seesaw = oracle._seesaw
+        zoom = oracle._zoom
 
-        def counting(lmats, states, basis, refine_tol):
-            calls.append(len(states))
-            return seesaw(lmats, states, basis, refine_tol)
+        def counting(coef, *args):
+            calls.append(len(coef))
+            return zoom(coef, *args)
 
-        monkeypatch.setattr(oracle, "_seesaw", counting)
+        monkeypatch.setattr(oracle, "_zoom", counting)
         return calls
 
-    def test_one_seesaw_per_check(self, seesaw_rows):
-        # seed 3 escalates no pair to the full search
+    def test_one_zoom_per_check(self, zoom_rows):
         rep = checks.check_tree(8, 3, self.CFG)
-        assert seesaw_rows == [2 * rep["retained"]]
-        seesaw_rows.clear()
+        assert zoom_rows == [2 * rep["retained"]]
+        zoom_rows.clear()
         checks.check_quasi_extreme(6, 3, self.CFG)
-        assert seesaw_rows == [12]
-        seesaw_rows.clear()
+        assert zoom_rows == [12]
+        zoom_rows.clear()
         checks.check_lemma1(6, 3, self.CFG)
-        assert seesaw_rows == [6]
+        assert zoom_rows == [6]
+        zoom_rows.clear()
+        checks.check_lemma2(5, 3, self.CFG)
+        assert zoom_rows == [5]
 
     def test_many_builds_only_qubit_superoperators(self, monkeypatch):
         built = []
@@ -786,43 +836,31 @@ class TestBatchedEngine:
         assert built == [(4, 4)] * 18
 
     def test_values_match_closed_forms_at_verify_budget(self):
-        # the product-probe Bloch rows lose no precision against the qubit
-        # outputs: every value within 1e-14 of the closed form
+        # every zoomed value within 1e-15 of its closed form, and no
+        # restricted value above its certified bound over all of C^4
         rng = checks._rng(11)
-        pairs = [
-            (checks.sample_extremal(rng), checks.sample_extremal(rng))
-            for _ in range(150)
-        ] + [(checks.sample_mixture(rng), checks.sample_mixture(rng)) for _ in range(150)]
+        pairs = (
+            checks._draw_pairs(300, rng, checks.sample_extremal)
+            + checks._draw_pairs(300, rng, checks.sample_mixture)
+            + checks._draw_pairs(200, rng, checks.sample_quasi_extreme)
+        )
+        results = oracle.brute_max_many(pairs, self.CFG)
+        bounds = oracle._entangled_bounds(
+            oracle._superops(pairs), np.array([ent.arg for _, ent in results])
+        )
         worst_single = worst_entangled = 0.0
-        for (c1, c2), (single, ent) in zip(pairs, oracle.brute_max_many(pairs, self.CFG)):
+        for (c1, c2), (single, ent), bound in zip(pairs, results, bounds):
             params = discrim.compute_params(c1, c2)
             worst_single = max(worst_single, abs(single.value - params.single.value))
             worst_entangled = max(worst_entangled, abs(ent.value - params.entangled.value))
-        assert worst_single < 1e-14
-        assert worst_entangled < 1e-14
-
-    def test_capped_row_leaves_the_other_rows_alone(self, monkeypatch):
-        c = QubitChannel.extremal(0.9, 0.4)
-        slow = TestConvergence.lemma2_pairs(3)[2]
-        pairs = [(c, c), PRODUCT_TRAP, slow, *self.pairs(62, 5)]
-        free = [r for c1, c2 in pairs for r in (
-            oracle.brute_max_single(c1, c2, self.CFG),
-            oracle.brute_max_entangled(c1, c2, self.CFG),
-        )]
-        monkeypatch.setattr(oracle, "_MAX_STEPS", 2)
-        capped = [r for pair in oracle.brute_max_many(pairs, self.CFG) for r in pair]
-        stopped = [k for k, r in enumerate(free) if r.iterations <= 2]
-        assert 0 < len(stopped) < len(free)
-        for k, (alone, batched) in enumerate(zip(free, capped)):
-            if k in stopped:
-                assert batched == alone
-            else:
-                assert batched.converged is False and batched.iterations == 2
+            assert ent.value <= bound
+        assert worst_single <= 1e-15
+        assert worst_entangled <= 1e-15
 
     @pytest.mark.parametrize("grid", [96, 128])
     def test_affine_bloch_grid_matches_outer_products(self, grid):
         params, r = full_bloch_grid(grid)
-        states = oracle._bloch_states(params)
+        states = bloch_states(params)
         family = list(oracle._superops(self.pairs(63, 10)))
         # the channel family is real; unitary channels U X U^dag, with
         # vec(U X U^dag) = (U (x) conj U) vec(X), also have complex outputs
@@ -831,12 +869,13 @@ class TestBatchedEngine:
             d = oracle._delta_batch(lmat, states)
             reference = np.sum(np.abs(np.linalg.eigvalsh(d)), axis=1)
             assert np.max(np.abs(full_bloch_values(lmat, r) - reference)) < 1e-14
-        # the library's best grid values are those of its starts
-        starts, top_values, _ = oracle._bloch_rows(
+        # the library's best grid values are those of its best points
+        _, top_values, tops = oracle._bloch_rows(
             np.stack(family), SearchConfig(grid_points=grid)
         )
-        for lmat, start, value in zip(family, starts, top_values):
-            d = oracle._delta_batch(lmat, start[None, :2])
+        top_states = bloch_states(oracle._bloch_grid(grid)[0][tops])
+        for lmat, state, value in zip(family, top_states, top_values):
+            d = oracle._delta_batch(lmat, state[None, :])
             assert abs(np.sum(np.abs(np.linalg.eigvalsh(d))) - value) < 1e-14
 
     @pytest.mark.parametrize("grid", [96, 128, 256])
@@ -859,17 +898,15 @@ class TestBatchedEngine:
             for _ in range(8)
         ] + [(checks.sample_mixture(rng), checks.sample_mixture(rng)) for _ in range(8)]
         lmats = oracle._superops(pairs)
-        starts, top_values, _ = oracle._bloch_rows(lmats, SearchConfig(grid_points=grid))
-        for lmat, start, value in zip(lmats, starts, top_values):
+        _, top_values, tops = oracle._bloch_rows(lmats, SearchConfig(grid_points=grid))
+        for lmat, index, value in zip(lmats, tops, top_values):
             c = points @ affine_bloch(lmat).T
             reference = 2.0 * np.maximum(
                 np.abs(c[:, 0]), np.sqrt(np.sum(c[:, 1:] ** 2, axis=1))
             )
             top = int(oracle._first_best(reference))
             assert value == reference[top]
-            np.testing.assert_array_equal(
-                start[:2], oracle._bloch_states(full_params[top : top + 1])[0]
-            )
+            np.testing.assert_array_equal(params[index], full_params[top])
 
     def test_bloch_grid_memory_does_not_grow_with_rows(self):
         lmats = oracle._superops(self.pairs(66, 64))
@@ -890,7 +927,7 @@ class TestBatchedEngine:
     def per_pair_tree(samples, seed, cfg):
         """check_tree as a plain loop of one-pair searches."""
         rng = checks._rng(seed)
-        retained, failures, steps, capped = 0, [], [], 0
+        retained, failures, levels = 0, [], []
         for k in range(samples):
             if k % 2 == 0:
                 c1, c2 = checks.sample_extremal(rng), checks.sample_extremal(rng)
@@ -903,13 +940,12 @@ class TestBatchedEngine:
             retained += 1
             single = oracle.brute_max_single(c1, c2, cfg)
             ent = oracle.brute_max_entangled(c1, c2, cfg)
-            steps += [single.iterations, ent.iterations]
-            capped += (not single.converged) + (not ent.converged)
+            levels += [single.iterations, ent.iterations]
             useful = ent.value - single.value > checks.TREE_GAP
             if useful != cls.useful:
-                full = oracle.brute_max_entangled(c1, c2, cfg, mode="full").value
-                useful = max(ent.value, full) - single.value > checks.TREE_GAP
-            if useful != cls.useful:
+                bound = oracle._entangled_bounds(
+                    oracle._superops([(c1, c2)]), np.array([ent.arg])
+                )[0]
                 failures.append(
                     {
                         **channels.format_pair(c1, c2),
@@ -917,6 +953,7 @@ class TestBatchedEngine:
                         "classified_useful": cls.useful,
                         "single": single.value,
                         "entangled": ent.value,
+                        "bound": float(bound),
                     }
                 )
         return {
@@ -927,9 +964,8 @@ class TestBatchedEngine:
             "discarded": samples - retained,
             "slack_threshold": checks.TREE_SLACK,
             "gap_threshold": checks.TREE_GAP,
-            "seesaw_steps": {
-                "rows": len(steps), "max": max(steps), "total": sum(steps),
-                "capped": capped,
+            "refine_levels": {
+                "rows": len(levels), "max": max(levels), "total": sum(levels),
             },
             "failures": failures,
             "passed": retained > 0 and not failures,
@@ -937,7 +973,7 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_check_tree_equals_per_pair_loop(self, seed):
-        cfg = SearchConfig(grid_points=96, multistarts=16, rng_seed=seed)
+        cfg = SearchConfig(grid_points=96)
         assert checks.check_tree(8, seed, cfg) == self.per_pair_tree(8, seed, cfg)
 
     def test_step_counts_are_deterministic_and_capped(self):
@@ -948,15 +984,13 @@ class TestBatchedEngine:
             checks.check_tree(8, 3, self.CFG),
         ]
         again = checks.check_tree(8, 3, self.CFG)
-        assert again["seesaw_steps"] == reports[-1]["seesaw_steps"]
+        assert again["refine_levels"] == reports[-1]["refine_levels"]
         for rep in reports:
-            steps = rep["seesaw_steps"]
-            assert 1 <= steps["max"] <= oracle._MAX_STEPS
-            assert steps["rows"] <= steps["total"] <= steps["rows"] * steps["max"]
+            levels = rep["refine_levels"]
+            assert 1 <= levels["max"] <= LEVEL_CAP
+            assert levels["rows"] <= levels["total"] <= levels["rows"] * levels["max"]
         for c1, c2 in self.pairs(64, 4):
             for r in oracle.brute_max_many([(c1, c2)], self.CFG)[0]:
-                assert 1 <= r.iterations <= oracle._MAX_STEPS
-            full = oracle.brute_max_entangled(c1, c2, self.CFG, mode="full")
-            assert 1 <= full.iterations <= oracle._MAX_STEPS
+                assert 1 <= r.iterations <= LEVEL_CAP
             params = discrim.compute_params(c1, c2)
             assert params.single.iterations == params.entangled.iterations == 0
