@@ -6,8 +6,8 @@ to the probe improve the best achievable success probability?  It provides
 
 * ``smallmat``  -- the checked Hermitian eigensystem of 2x2/4x4 matrices,
 * ``channels``  -- the two-angle channel parametrization, convex mixtures,
-  Kraus sets and superoperators; the superoperator is the one way a
-  channel acts,
+  Kraus sets and Choi matrices; the Choi matrix is the one way a channel
+  acts,
 * ``discrim``   -- discrimination parameters, closed-form trace-distance
   maxima, and the usefulness decision tree,
 * ``oracle``    -- brute-force probe-state search, Helstrom measurements,

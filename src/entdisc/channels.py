@@ -8,7 +8,7 @@ angles (phi, theta) in [0, pi] through the Kraus pair
 
 and a general channel in the simultaneously diagonalizable family is a
 convex mixture of two such maps.  This module builds those objects, their
-Kraus sets and superoperators, and parses the channel literal syntax used
+Kraus sets and Choi matrices, and parses the channel literal syntax used
 by the CLI:
 
     identity
@@ -20,7 +20,7 @@ by the CLI:
 with all angles in radians.
 
 The parameters and literals need only ``math``.  The matrix pictures
-(Kraus sets, superoperators) import numpy when first called, so the
+(Kraus sets, Choi matrices) import numpy when first called, so the
 closed-form path through :mod:`discrim` never loads numpy.  They stay
 defined in this module, where callers and tools that look a channel
 function up by module attribute find them.
@@ -28,14 +28,12 @@ function up by module attribute find them.
 Every Kraus set is built by one function, :func:`kraus_operators`: it
 writes the entries of the weighted operators as Python floats, drops the
 operators whose entries are all within 1e-15 of zero, and makes one
-complex array of the rest.  A Kraus set is built for every superoperator,
+complex array of the rest.  A Kraus set is built for every Choi matrix,
 and a numpy call per operator would cost more than its arithmetic.
-:func:`superoperator` is the one way a channel acts on a state, and
-:func:`extend_superoperator` the one way its action on one qubit of a pair
-is built: by copying the entries of the qubit superoperator.  No function
-here applies a channel to a state; :mod:`oracle` applies stacks of these
-matrices to its probes, and reads the affine Bloch picture and the Choi
-matrix off them.
+:func:`choi_matrix` is the one way a channel acts on a state, on one
+qubit or on the right qubit of a pair (id (x) N).  No function here
+applies a channel to a state; :mod:`oracle` reads every output it needs
+off these matrices.
 """
 
 from __future__ import annotations
@@ -106,35 +104,13 @@ def kraus_operators(c: QubitChannel) -> np.ndarray:
     return np.array(kept, dtype=complex).reshape(-1, 2, 2)
 
 
-def superoperator(c: QubitChannel) -> np.ndarray:
-    """Matrix of rho -> sum_k K_k rho K_k^dag on the row-major vec(rho);
-    :func:`extend_superoperator` expands it to id (x) channel."""
+def choi_matrix(c: QubitChannel) -> np.ndarray:
+    """The Choi matrix J = sum_ab |a><b| (x) c(|a><b|), with entries
+    J[(a i), (b j)] = c(|a><b|)_ij = sum_k K_k[i, a] conj(K_k[j, b])."""
     import numpy as np
 
     ops = kraus_operators(c)
-    # sum_k kron(K_k, conj(K_k)): row (a, c), column (b, d)
-    return np.einsum("kab,kcd->acbd", ops, ops.conj()).reshape(4, 4)
-
-
-def extend_superoperator(smat: np.ndarray) -> np.ndarray:
-    """The 16 x 16 matrix of id (x) N on two-qubit states, from the 4 x 4
-    superoperator ``smat`` of N (or a stack of them, one per leading index).
-
-    The identity acts on the left (reference) qubit in the basis order
-    |00>, |01>, |10>, |11>: id (x) N maps |a i><b j| to
-    |a><b| (x) N(|i><j|), so the matrix holds a copy of ``smat`` for each
-    (a, b) and zeros elsewhere, and building it only copies entries.
-    """
-    import numpy as np
-
-    lead = smat.shape[:-2]
-    blocks = smat.reshape(*lead, 2, 2, 2, 2)
-    # row (a, i, b, j), column (c, k, d, l), nonzero only for c = a, d = b
-    out = np.zeros((*lead, 2, 2, 2, 2, 2, 2, 2, 2), dtype=smat.dtype)
-    for a in (0, 1):
-        for b in (0, 1):
-            out[..., a, :, b, :, a, :, b, :] = blocks
-    return out.reshape(*lead, 16, 16)
+    return np.einsum("kia,kjb->aibj", ops, ops.conj()).reshape(4, 4)
 
 
 def quasi_extreme_sines(sin_phi: float, sin_theta: float) -> bool:

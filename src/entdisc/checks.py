@@ -83,10 +83,11 @@ def _refine_levels(results) -> dict:
 def check_lemma1(
     samples: int, seed: int, cfg: oracle.SearchConfig = oracle.DEFAULT_CONFIG
 ) -> dict:
-    """Closed-form single-qubit maximum vs Bloch-sphere brute force."""
+    """Closed-form single-qubit maximum vs Bloch-sphere brute force, on
+    pairs that alternate between extremal maps and mixtures."""
     _require_samples(samples)
-    pairs = _draw_pairs(samples, _rng(seed), sample_extremal)
-    brutes = oracle._grid_searches(oracle._superops(pairs), cfg, restricted=False)[0]
+    pairs = list(_alternating_pairs(_rng(seed), samples))
+    brutes = oracle._grid_searches(oracle._chois(pairs), cfg, restricted=False)[0]
     max_dev = 0.0
     failures = []
     for (c1, c2), brute in zip(pairs, brutes):
@@ -114,12 +115,13 @@ def check_lemma2(
     """Closed-form entangled maximum vs restricted search, and Lemma 2 by
     certificate: on every pair, the certified bound over all two-qubit
     probes at the restricted maximizer exceeds the restricted maximum by at
-    most ``LEMMA_TOL`` (``max_certified_excess``)."""
+    most ``LEMMA_TOL`` (``max_certified_excess``).  Pairs alternate between
+    extremal maps and mixtures."""
     _require_samples(samples)
-    pairs = _draw_pairs(samples, _rng(seed), sample_extremal)
-    lmats = oracle._superops(pairs)
-    restricted_all = oracle._grid_searches(lmats, cfg, bloch=False)[0]
-    bounds = oracle._entangled_bounds(lmats, np.array([r.arg for r in restricted_all]))
+    pairs = list(_alternating_pairs(_rng(seed), samples))
+    chois = oracle._chois(pairs)
+    restricted_all = oracle._grid_searches(chois, cfg, bloch=False)[0]
+    bounds = oracle._entangled_bounds(chois, np.array([r.arg for r in restricted_all]))
     max_dev = 0.0
     max_excess = -math.inf
     failures = []
@@ -205,7 +207,7 @@ def check_tree(
         oracle_useful = (ent.value - single.value) > TREE_GAP
         if oracle_useful != cls.useful:
             bound = oracle._entangled_bounds(
-                oracle._superops([(c1, c2)]), np.array([ent.arg])
+                oracle._chois([(c1, c2)]), np.array([ent.arg])
             )[0]
             failures.append(
                 {

@@ -188,7 +188,7 @@ def _parse_probe(text: str):
     if scale == 0.0:
         raise channels.ChannelParseError(f"zero probe state {text!r}")
     amps = [a / scale for a in amps]
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    norm = math.sqrt(sum(abs(a) * abs(a) for a in amps))
     amps = [a / norm for a in amps]
     if (head, len(amps)) in (("qubit", 2), ("pair", 4)):
         return oracle.PureState(tuple(amps))

@@ -163,8 +163,8 @@ def channel_moments(lam, phi, theta, phi_p, theta_p, trig=cos_sin):
         (cp2, sp2), (ct2, st2) = trig(phi_p), trig(theta_p)
     rest = 1.0 - lam
     moments = (
-        lam * ct1**2 + rest * ct2**2,
-        lam * cp1**2 + rest * cp2**2,
+        lam * (ct1 * ct1) + rest * (ct2 * ct2),
+        lam * (cp1 * cp1) + rest * (cp2 * cp2),
         lam * (cp1 * ct1) + rest * (cp2 * ct2),
         lam * (sp1 * st1) + rest * (sp2 * st2),
     )
@@ -204,16 +204,20 @@ def g_single(p: DiscrimParams, s: float) -> float:
     s = _check_s(s)
     a_form = (1.0 - s) * p.alpha - s * p.beta
     half = 0.5 * (abs(p.gamma1) + abs(p.gamma2))
-    return 2.0 * math.sqrt(a_form**2 + 4.0 * s * (1.0 - s) * half**2)
+    return 2.0 * math.sqrt(a_form * a_form + 4.0 * s * (1.0 - s) * (half * half))
 
 
 def f_entangled(p: DiscrimParams, s: float) -> float:
     """The paper's two-radical profile f, equal to :func:`entangled_profile`
     when both gamma_j^2 >= alpha beta; the tree reads it at the vertex of g."""
     s = _check_s(s)
-    a2 = ((1.0 - s) * p.alpha - s * p.beta) ** 2
+    a_form = (1.0 - s) * p.alpha - s * p.beta
+    a2 = a_form * a_form
     u4 = 4.0 * (s * (1.0 - s))
-    return math.sqrt(a2 + u4 * p.gamma1**2) + math.sqrt(a2 + u4 * p.gamma2**2)
+    return (
+        math.sqrt(a2 + u4 * (p.gamma1 * p.gamma1))
+        + math.sqrt(a2 + u4 * (p.gamma2 * p.gamma2))
+    )
 
 
 def entangled_profile(p: DiscrimParams, s: float) -> float:
@@ -221,10 +225,11 @@ def entangled_profile(p: DiscrimParams, s: float) -> float:
     regimes: E(s) = sum_j max(|T|, sqrt(A^2 + 4 u gamma_j^2))."""
     s = _check_s(s)
     t_abs = abs((1.0 - s) * p.alpha + s * p.beta)
-    a2 = ((1.0 - s) * p.alpha - s * p.beta) ** 2
+    a_form = (1.0 - s) * p.alpha - s * p.beta
+    a2 = a_form * a_form
     u4 = 4.0 * (s * (1.0 - s))
-    r1 = math.sqrt(a2 + u4 * p.gamma1**2)
-    r2 = math.sqrt(a2 + u4 * p.gamma2**2)
+    r1 = math.sqrt(a2 + u4 * (p.gamma1 * p.gamma1))
+    r2 = math.sqrt(a2 + u4 * (p.gamma2 * p.gamma2))
     return (r1 if r1 > t_abs else t_abs) + (r2 if r2 > t_abs else t_abs)
 
 
@@ -252,10 +257,10 @@ def _single_vertex(p: DiscrimParams):
     apb = p.alpha + p.beta
     if abs(apb) >= gsum:
         return None
-    if 2.0 * p.alpha * apb >= gsum**2 or 2.0 * p.beta * apb >= gsum**2:
+    if 2.0 * p.alpha * apb >= gsum * gsum or 2.0 * p.beta * apb >= gsum * gsum:
         return None
-    num = 2.0 * p.alpha * apb - gsum**2
-    den = 2.0 * apb**2 - 2.0 * gsum**2
+    num = 2.0 * p.alpha * apb - gsum * gsum
+    den = 2.0 * (apb * apb) - 2.0 * (gsum * gsum)
     vertex = num / den
     return vertex if vertex < 1.0 else 1.0
 
@@ -304,7 +309,7 @@ def _two_radical_slope(p: DiscrimParams, s: float) -> tuple[float, float, float]
     a_form = (1.0 - s) * p.alpha - s * p.beta
     u4 = 4.0 * (s * (1.0 - s))
     slope = curve = value = 0.0
-    for gsq in (p.gamma1**2, p.gamma2**2):
+    for gsq in (p.gamma1 * p.gamma1, p.gamma2 * p.gamma2):
         q = a_form * a_form + u4 * gsq
         if q > 0.0:
             r = math.sqrt(q)
@@ -393,9 +398,9 @@ def max_distance_entangled(p: DiscrimParams) -> DistanceResult:
     when alpha beta > 0 = gamma_j^2, outside this regime.
     """
     ab = p.alpha * p.beta
-    if p.gamma_M**2 <= ab:
+    if p.gamma_M * p.gamma_M <= ab:
         branch, candidates = "linear", (0.0, 1.0)
-    elif p.gamma_m**2 < ab:
+    elif p.gamma_m * p.gamma_m < ab:
         branch, candidates = "single-radical", _single_radical_max(p)
     else:
         branch, candidates = "two-radical", _two_radical_max(p)
@@ -430,15 +435,15 @@ def classify(p: DiscrimParams) -> Classification:
         boundary = any(abs(v) < EPS_BOUNDARY for v in m.values())
         return Classification(useful, node, boundary, p, m)
 
-    m["root_ab_minus_gM2"] = ab - gM**2
-    if gM**2 <= ab:
+    m["root_ab_minus_gM2"] = ab - gM * gM
+    if gM * gM <= ab:
         return finish(False, "T3/root")
 
-    m["regime_ab_minus_gm2"] = ab - gm**2
-    if gm**2 < ab:
+    m["regime_ab_minus_gm2"] = ab - gm * gm
+    if gm * gm < ab:
         # Middle regime: only the larger gamma contributes a radical.
-        m["t3_vertex"] = gsum**2 / 2.0 - p.P * (a + b)
-        if gsum**2 / 2.0 - p.P * (a + b) <= 0.0:
+        m["t3_vertex"] = gsum * gsum / 2.0 - p.P * (a + b)
+        if gsum * gsum / 2.0 - p.P * (a + b) <= 0.0:
             # Single-qubit optimum sits at an endpoint.
             m["t3_gM_vs_P"] = abs(gM) - abs(p.P)
             if m["t3_gM_vs_P"] > EPS_BOUNDARY:
@@ -450,7 +455,7 @@ def classify(p: DiscrimParams) -> Classification:
             if m["t3_gm_vs_alpha"] > EPS_BOUNDARY:
                 return finish(True, "T3/B.1")
             return finish(False, "T3/A.1")
-        res = 2.0 * gM * (a + b) - gsum**2
+        res = 2.0 * gM * (a + b) - gsum * gsum
         m["t3_resonance"] = res
         if abs(res) > EPS_BOUNDARY:
             return finish(True, "T3/B.2")
@@ -473,7 +478,7 @@ def classify(p: DiscrimParams) -> Classification:
     if abs(a + b) < gsum:
         m["t2_apb_vs_gsum"] = gsum - abs(a + b)
         m["t2_vertex"] = min(
-            gsum**2 - 2.0 * a * (a + b), gsum**2 - 2.0 * b * (a + b)
+            gsum * gsum - 2.0 * a * (a + b), gsum * gsum - 2.0 * b * (a + b)
         )
     if vertex is not None and 0.0 < vertex < 1.0:
         m["t2_alpha_eq_beta"] = abs(a - b)
@@ -488,8 +493,8 @@ def classify(p: DiscrimParams) -> Classification:
     m["t2_2gM_vs_apb"] = abs(a + b) - 2.0 * abs(gM)
     if abs(a + b) >= 2.0 * abs(gM):
         return finish(False, "T2/A.1")
-    m["t2_P_test"] = p.P * (a + b) - (g1**2 + g2**2)
-    if p.P * (a + b) < g1**2 + g2**2:
+    m["t2_P_test"] = p.P * (a + b) - (g1 * g1 + g2 * g2)
+    if p.P * (a + b) < g1 * g1 + g2 * g2:
         return finish(True, "T2/B.1")
     return finish(False, "T2/A.2")
 

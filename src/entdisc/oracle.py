@@ -2,19 +2,21 @@
 
 Nothing in this module uses the closed-form distance formulas.  Trace
 distances are maximized directly over probe states from the channels'
-superoperators (:func:`channels.superoperator`), so the results serve as
-an independent check on the closed forms and on the decision tree.
+Choi matrices (:func:`channels.choi_matrix`), so the results serve as an
+independent check on the closed forms and on the decision tree.
 
-Both searches are one-dimensional and share one maximizer: a uniform grid,
-then a zoom inside the grid cells next to its best point (:func:`_zoom`).
+The Choi matrix is the one picture of a channel here.  A probe with
+amplitude matrix M (reference index first) has the output
+(M (x) I) J (M (x) I)^dag, and the family is Z-covariant, so J is zero off
+its two Z (x) Z blocks and every output the searches need is read off 2x2
+blocks of J.  Both searches are one-dimensional and share one maximizer:
+a uniform grid, then a zoom inside the grid cells next to its best point
+(:func:`_zoom`).
 
-* Bloch (qubit probes): the (polar, azimuth) grid, read off the affine
-  Bloch picture of the qubit superoperator, at the extreme-cos^2 azimuths
-  of each polar row only (:func:`_bloch_rows`); the zoom runs along the
-  polar angle at azimuth 0 or pi/2.
+* Bloch (qubit probes): a grid over the polar angle, the azimuth taken at
+  its exact best for each polar angle (:func:`_bloch_rows`).
 * restricted (pair probes sqrt(1 - t)|00> + sqrt(t)|11>): a grid over the
-  Schmidt weight t, read off the two Z (x) Z blocks of the Choi matrix
-  (:func:`_restricted_rows`).
+  Schmidt weight t (:func:`_restricted_rows`).
 
 In the weight t on |1> (Bloch, t = sin^2 of half the polar angle) or on
 |11> (restricted) the two are one formula, with no eigensolver: a row's
@@ -32,19 +34,16 @@ point at the restricted maximizer bounds ||(id (x) Delta)(psi psi^dag)||_1
 over every two-qubit probe psi, and the bound is tight there
 (:func:`_entangled_bounds`).
 
-Every probe meets a channel one way: as a row of :func:`_delta_batch`,
-which takes pure states through a stack of superoperators.  :func:`delta`
-and :func:`simulate` run a :class:`PureState`, a qubit probe or a pair
-probe (on which the channels act as id (x) N), through it.
-:func:`simulate` is the whole Helstrom experiment: it builds each
-channel's superoperator once, takes the output difference and both
-outputs as the rows of one stack, measures the difference's
+:func:`delta` and :func:`simulate` take a :class:`PureState`, a qubit
+probe or a pair probe (on which the channels act as id (x) N), through
+:func:`_outputs`.  :func:`simulate` is the whole Helstrom experiment: it
+builds each channel's Choi matrix once, takes the output difference and
+both outputs as the rows of one stack, measures the difference's
 :func:`helstrom` projectors and draws the trials.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -136,31 +135,23 @@ class Measurement:
             raise ValueError("projectors do not sum to the identity")
 
 
-def _superops(pairs) -> np.ndarray:
-    """The difference superoperators of channel pairs, stacked one per row."""
-    sop = channels.superoperator
-    return np.stack([sop(c1) - sop(c2) for c1, c2 in pairs])
-
-
-def _delta_batch(lmats: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Output differences for a batch of pure probe states: row i of
-    ``states`` through ``lmats[i]``, a stack of d^2 x d^2 superoperators."""
-    k = states.shape[1]
-    rhos = states[:, :, None] * states.conj()[:, None, :]
-    dim = math.isqrt(lmats.shape[-2])
-    return (lmats @ rhos.reshape(-1, k * k, 1)).reshape(-1, dim, dim)
+def _chois(pairs) -> np.ndarray:
+    """The Choi matrices J1 - J2 of channel pairs' differences, stacked one
+    per row."""
+    choi = channels.choi_matrix
+    return np.stack([choi(c1) - choi(c2) for c1, c2 in pairs])
 
 
 def _outputs(c1, c2, probe: PureState) -> np.ndarray:
     """The output difference and the two channel outputs on ``probe``, each
-    made Hermitian: the rows of one :func:`_delta_batch` over the
-    superoperators N1 - N2, N1 and N2, built once per channel and extended
-    for a pair probe."""
-    s1, s2 = channels.superoperator(c1), channels.superoperator(c2)
-    lmats = np.stack([s1 - s2, s1, s2])
-    if probe.is_pair:
-        lmats = channels.extend_superoperator(lmats)
-    d = _delta_batch(lmats, np.repeat(probe.vector[None, :], 3, axis=0))
+    made Hermitian: (M (x) I) J (M (x) I)^dag for the Choi matrices
+    J1 - J2, J1 and J2, built once per channel.  M holds the probe's
+    amplitudes, reference index first: a 1x2 matrix for a qubit probe, a
+    2x2 one for a pair probe, on which the channels act as id (x) N."""
+    j1, j2 = channels.choi_matrix(c1), channels.choi_matrix(c2)
+    # M (x) I, entries M[r, a] at row (r i) and column (a i)
+    m = (probe.vector.reshape(-1, 1, 2, 1) * np.eye(2)[:, None, :]).reshape(-1, 4)
+    d = m @ np.stack([j1 - j2, j1, j2]) @ m.conj().T
     return 0.5 * (d + np.swapaxes(d.conj(), 1, 2))
 
 
@@ -170,19 +161,11 @@ def delta(c1, c2, probe: PureState) -> np.ndarray:
     return _outputs(c1, c2, probe)[0]
 
 
-_PAULI = np.array(
-    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
-)
-# columns vec(sigma_j / 2); rows reading tr(sigma_k A) / 2 off vec(A)
-_PAULI_HALVES = _PAULI.reshape(4, 4).T / 2.0
-_PAULI_COORDS = _PAULI.conj().reshape(4, 4) / 2.0
-
-
 # Grid values are trace norms of at most 2, computed from entries of at most
 # 1, so their rounding is absolute: points that tie in exact arithmetic (a
-# flat restricted row, a profile symmetric in t <-> 1 - t, mirror azimuths)
-# were measured up to 8 eps apart, on 12 000 seeded quasi-extreme pairs at six
-# grid sizes.  Points within twice that of a row's best count as tied.
+# flat restricted row, a profile symmetric in t <-> 1 - t) were measured up
+# to 8 eps apart, on 12 000 seeded quasi-extreme pairs at six grid sizes.
+# Points within twice that of a row's best count as tied.
 _TIE_TOL = 16.0 * np.finfo(float).eps
 
 
@@ -216,92 +199,6 @@ def _block_values(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     return norms[:, 0] + norms[:, 1]
 
 
-# the entries of the real affine Bloch matrix of a qubit superoperator,
-# real(_PAULI_COORDS @ L @ _PAULI_HALVES), that are zero for a difference of
-# two family channels: all but the diagonal and the z shifts (0, 3), (3, 0)
-_OFF_AXES = ~np.eye(4, dtype=bool)
-_OFF_AXES[[0, 3], [3, 0]] = False
-
-
-@functools.lru_cache(maxsize=4)
-def _bloch_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points of the uniform (polar, azimuth) grid with n points per
-    axis that the Bloch rows evaluate, and their affine Bloch coordinates
-    r = (1, x, y, z), read-only.
-
-    At each of the n polar angles only the azimuths whose cos^2 is within
-    1e-12 of the grid's largest or smallest value are kept, mirror images
-    included: 0, n/4, n/2 and 3n/4 when n % 4 == 0.  The points keep the
-    flat (polar-major) order of the full grid, so the lowest index among
-    them is the lowest flat index.  r is stored as four rows, one per Pauli
-    component, so each Pauli coordinate of the outputs is one contiguous
-    row.
-    """
-    polar = np.linspace(0.0, math.pi, n)
-    azim = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    cos2 = np.cos(azim) ** 2
-    kept = azim[(cos2 >= cos2.max() - 1e-12) | (cos2 <= cos2.min() + 1e-12)]
-    mesh = np.meshgrid(polar, kept, indexing="ij")
-    params = np.stack([g.ravel() for g in mesh], axis=1)
-    p, a = params[:, 0], params[:, 1]
-    x, y = np.sin(p) * np.cos(a), np.sin(p) * np.sin(a)
-    r = np.stack([np.ones_like(p), x, y, np.cos(p)])
-    params.setflags(write=False)
-    r.setflags(write=False)
-    return params, r
-
-
-def _bloch_rows(lmats: np.ndarray, cfg: SearchConfig):
-    """The Bloch rows of a zoom, one per qubit superoperator of ``lmats``:
-    each row's block coefficients (:func:`_block_values`), its best value on
-    the grid of :func:`_bloch_grid` with cfg.grid_points per axis, and that
-    point's flat index; the lowest flat index wins ties
-    (:func:`_first_best`).
-
-    The values are read off the affine Bloch picture: rho = sum_j r_j
-    sigma_j / 2, so Delta(rho) = c0 I + c.sigma with (c0, c) = A r, A the
-    real part of _PAULI_COORDS @ L @ _PAULI_HALVES.  K0 is diagonal and K1
-    anti-diagonal, so for a difference of two family channels A is zero
-    but for its diagonal (d, a1, a2, a3) and its z shifts (_OFF_AXES; the
-    paper's Lambda and t): c0 and c3 depend on z = cos p alone.  At polar
-    angle p, |c|^2 = sin^2 p (a1^2 cos^2 a + a2^2 sin^2 a) + c3^2 is
-    monotone in cos^2 of the azimuth a, so each polar row is evaluated only
-    where the grid's cos^2 is largest or smallest (:func:`_bloch_grid`):
-    4 n points instead of n^2 when n % 4 == 0.  Raises ``ValueError`` when
-    an A has an entry off that pattern.
-
-    The zoom runs along the polar angle at azimuth 0 when the best point's
-    cos^2 is at least 1/2, else at pi/2.  In the weight t = sin^2(p/2) on
-    |1>, with the products (w00, w11, w01) of :func:`_block_values`,
-    r = (w00 + w11, 2 w01, 0, w00 - w11) there, or (w00 + w11, 0, 2 w01,
-    w00 - w11): a row is one block of :func:`_block_values`, the other
-    zero.
-
-    The grid is evaluated one row at a time, so the peak memory here does
-    not grow with the number of rows.
-    """
-    params, r = _bloch_grid(cfg.grid_points)
-    affine = np.zeros((len(lmats), 4, 4))
-    tops, top_values = [], []
-    for a, lmat in zip(affine, lmats):
-        a[:] = np.real(_PAULI_COORDS @ lmat @ _PAULI_HALVES)
-        if np.any(a[_OFF_AXES]):
-            raise ValueError("a difference is not axis-aligned: its affine Bloch "
-                             "matrix has entries off its diagonal and z shifts")
-        values = _tracenorm2(*(a @ r))
-        tops.append(int(_first_best(values)))
-        top_values.append(values[tops[-1]])
-    tops = np.array(tops, dtype=int)
-    coef = np.zeros((len(lmats), 2, 6))
-    # c0 and c3 are shift + slope cos p, and cos p = w00 - w11
-    shift, slope = affine[:, [0, 3], 0], affine[:, [0, 3], 3]
-    coef[:, 0, [0, 2]], coef[:, 0, [1, 3]] = shift + slope, shift - slope
-    along_x = np.cos(params[tops, 1]) ** 2 >= 0.5
-    coef[:, 0, 4] = np.where(along_x, 2.0 * affine[:, 1, 1], 0.0)
-    coef[:, 0, 5] = np.where(along_x, 0.0, 2.0 * affine[:, 2, 2])
-    return coef, np.array(top_values), tops
-
-
 # the Z (x) Z eigenspaces {|00>, |11>} and {|01>, |10>} (the diagonal of
 # Z (x) Z is _ZZ), and the entries of a 4x4 matrix that join the two
 _BLOCKS = ((0, 3), (1, 2))
@@ -309,43 +206,47 @@ _ZZ = np.array([1, -1, -1, 1])
 _OFF_BLOCKS = _ZZ[:, None] != _ZZ[None, :]
 
 
-def _choi(lmats: np.ndarray) -> np.ndarray:
-    """The Choi matrices J = sum_ab |a><b| (x) Delta(|a><b|) of a stack of
-    qubit superoperators, by copying entries: J[(a i), (b j)] is the entry
-    Delta(|a><b|)_ij = L[(i j), (a b)]."""
-    return lmats.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 1, 4, 2).reshape(-1, 4, 4)
+def _bloch_rows(chois: np.ndarray, n: int):
+    """The Bloch rows of a zoom, one per Choi matrix of ``chois``: each
+    row's block coefficients (:func:`_block_values`), and the weights
+    t = sin^2(p/2) on |1> of the uniform grid of n polar angles p in
+    [0, pi].
+
+    The probe sqrt(1 - t)|0> + e^{ia} sqrt(t)|1> at azimuth a has the
+    output with entries sum_ab psi_a conj(psi_b) J[(a i), (b j)].  J is
+    zero off the Z (x) Z blocks, so its diagonal is
+    (w00 J00 + w11 J22, w00 J11 + w11 J33) and its off-diagonal entry
+    w01 (e^{-ia} J03 + e^{ia} J21), with (w00, w11, w01) the products of
+    the amplitudes' moduli.  The trace norm grows with that entry's modulus,
+    whose largest value over a is w01 (|J03| + |J21|): a row is the maximum
+    over the azimuth, exactly, as one block, the other zero.
+    """
+    d = np.real(chois[:, range(4), range(4)])
+    coef = np.zeros((len(chois), 2, 6))
+    coef[:, 0, 0], coef[:, 0, 1] = 0.5 * (d[:, 0] + d[:, 1]), 0.5 * (d[:, 2] + d[:, 3])
+    coef[:, 0, 2], coef[:, 0, 3] = 0.5 * (d[:, 0] - d[:, 1]), 0.5 * (d[:, 2] - d[:, 3])
+    coef[:, 0, 4] = np.abs(chois[:, 0, 3]) + np.abs(chois[:, 2, 1])
+    return coef, np.sin(np.linspace(0.0, math.pi, n) / 2.0) ** 2
 
 
-def _restricted_rows(lmats: np.ndarray, cfg: SearchConfig):
-    """The restricted rows of a zoom, one per qubit superoperator of
-    ``lmats``: each row's block coefficients (:func:`_block_values`), its
-    best value on the uniform grid of cfg.grid_points Schmidt weights t in
-    [0, 1], and that point's index; the lowest index wins ties
-    (:func:`_first_best`).
+def _restricted_rows(chois: np.ndarray, n: int):
+    """The restricted rows of a zoom, one per Choi matrix of ``chois``:
+    each row's block coefficients (:func:`_block_values`), and the uniform
+    grid of n Schmidt weights t in [0, 1].
 
     The probe sqrt(1 - t)|00> + sqrt(t)|11> is sum_ab w_ab |aa><bb|, with
     w_ab the products of its two amplitudes, and id (x) Delta maps it to
-    the matrix with entries w_ab J[(a i), (b j)], J the Choi matrix.  The
-    family is Z-covariant (K0 is diagonal and K1 anti-diagonal, and
-    mixtures keep this), so J is zero off the two Z (x) Z blocks, and the
-    output's trace norm is the sum of those of its 2x2 blocks
-    [[w00 Jpp, w01 Jpq], [., w11 Jqq]] for (p, q) = (0, 3) and (1, 2), with
-    Pauli coordinates c0 = (w00 Jpp + w11 Jqq) / 2, x + i y = w01 Jpq and
-    z = (w00 Jpp - w11 Jqq) / 2.  The grid is read for all rows at once.
-    Raises ``ValueError`` when a J has an entry off those blocks.
+    the matrix with entries w_ab J[(a i), (b j)].  J is zero off the two
+    Z (x) Z blocks, so the output's trace norm is the sum of those of its
+    2x2 blocks [[w00 Jpp, w01 Jpq], [., w11 Jqq]] for (p, q) = (0, 3) and
+    (1, 2), with Pauli coordinates c0 = (w00 Jpp + w11 Jqq) / 2,
+    x + i y = w01 Jpq and z = (w00 Jpp - w11 Jqq) / 2.
     """
-    choi = _choi(lmats)
-    if np.any(choi[:, _OFF_BLOCKS]):
-        raise ValueError("a difference is not Z-covariant: its Choi matrix "
-                         "has entries off the Z (x) Z blocks")
     blocks = []
     for p, q in _BLOCKS:
-        jpp, jqq, jpq = choi[:, p, p].real, choi[:, q, q].real, choi[:, p, q]
+        jpp, jqq, jpq = chois[:, p, p].real, chois[:, q, q].real, chois[:, p, q]
         blocks.append([0.5 * jpp, 0.5 * jqq, 0.5 * jpp, -0.5 * jqq, jpq.real, jpq.imag])
-    coef = np.array(blocks).transpose(2, 0, 1)  # rows x 2 x 6
-    values = _block_values(coef, np.linspace(0.0, 1.0, cfg.grid_points)[None, :])
-    tops = _first_best(values)
-    return coef, values[np.arange(len(tops)), tops], tops
+    return np.array(blocks).transpose(2, 0, 1), np.linspace(0.0, 1.0, n)
 
 
 # the points a zoom level evaluates across its row's bracket; an odd count,
@@ -397,39 +298,45 @@ def _zoom(coef, lo, hi, best, arg, refine_tol):
 
 
 def _grid_searches(
-    lmats: np.ndarray, cfg: SearchConfig, bloch: bool = True, restricted: bool = True
+    chois: np.ndarray, cfg: SearchConfig, bloch: bool = True, restricted: bool = True
 ) -> list[list[DistanceResult]]:
-    """The Bloch and/or restricted search for each row of ``lmats`` (qubit
-    difference superoperators), all as the rows of one zoom.
+    """The Bloch and/or restricted search for each row of ``chois`` (the
+    Choi matrices of qubit channel differences), all as the rows of one
+    zoom.
 
-    A row's bracket is the weights of the grid neighbours of its best grid
-    point: of its polar neighbours for a Bloch row.  Rows never mix, so a
-    result does not depend on the other rows or searches.  Returns one list
-    of results per search run, the Bloch one first.  The Bloch arg is the
-    weight on |1> of the best probe, the restricted arg the Schmidt weight
-    t; iterations are the zoom's levels.
+    Both searches read the 2x2 blocks of J that the Z (x) Z eigenspaces cut
+    out.  The family is Z-covariant (K0 is diagonal and K1 anti-diagonal,
+    and mixtures keep this), so J is zero off those blocks; raises
+    ``ValueError`` when a J has an entry off them.  Each search's grid is
+    read for all rows at once.  A row's best grid point is the lowest index
+    within _TIE_TOL of its largest value (:func:`_first_best`), and its
+    bracket the weights of that point's grid neighbours.  Rows never mix,
+    so a result does not depend on the other rows or searches.  Returns
+    one list of results per search run, the Bloch one first.  The Bloch arg
+    is the weight on |1> of the best probe, the restricted arg the Schmidt
+    weight t; iterations are the zoom's levels.
     """
+    if np.any(chois[:, _OFF_BLOCKS]):
+        raise ValueError("a difference is not Z-covariant: its Choi matrix "
+                         "has entries off the Z (x) Z blocks")
     n = cfg.grid_points
     searches = []
     if bloch:
-        coef, top_values, tops = _bloch_rows(lmats, cfg)
-        per_polar = len(_bloch_grid(n)[0]) // n
-        weights = np.sin(np.linspace(0.0, math.pi, n) / 2.0) ** 2
-        searches.append((coef, top_values, weights, tops // per_polar, "bloch-grid"))
+        searches.append((*_bloch_rows(chois, n), "bloch-grid"))
     if restricted:
-        coef, top_values, tops = _restricted_rows(lmats, cfg)
-        searches.append((coef, top_values, np.linspace(0.0, 1.0, n), tops, "restricted"))
-    coef, best, lo, hi, arg = (
-        np.concatenate(part)
-        for part in zip(*(
-            (c, v, w[np.maximum(i - 1, 0)], w[np.minimum(i + 1, n - 1)], w[i])
-            for c, v, w, i, _ in searches
-        ))
-    )
+        searches.append((*_restricted_rows(chois, n), "restricted"))
+    parts = []
+    for coef, w, _ in searches:
+        values = _block_values(coef, w[None, :])
+        i = _first_best(values)
+        top = values[np.arange(len(i)), i]
+        lo, hi = w[np.maximum(i - 1, 0)], w[np.minimum(i + 1, n - 1)]
+        parts.append((coef, top, lo, hi, w[i]))
+    coef, best, lo, hi, arg = (np.concatenate(part) for part in zip(*parts))
     best, arg, levels = _zoom(coef, lo, hi, best, arg, cfg.refine_tol)
     results = []
     for j, (*_, branch) in enumerate(searches):
-        part = slice(j * len(lmats), (j + 1) * len(lmats))
+        part = slice(j * len(chois), (j + 1) * len(chois))
         results.append([
             DistanceResult(float(b), float(t), branch, int(k))
             for b, t, k in zip(best[part], arg[part], levels[part])
@@ -442,17 +349,17 @@ def _grid_searches(
 _BOUND_CLAMP = 1e-5
 
 
-def _entangled_bounds(lmats: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _entangled_bounds(chois: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Upper bounds on ||(id (x) Delta)(psi psi^dag)||_1 over every
-    two-qubit probe psi, one per qubit difference superoperator of
-    ``lmats``, each certified at its Schmidt weight in ``t`` (Watrous's SDP
-    dual, arXiv:1207.5726).
+    two-qubit probe psi, one per Choi matrix J of a qubit channel
+    difference Delta in ``chois``, each certified at its Schmidt weight in
+    ``t`` (Watrous's SDP dual, arXiv:1207.5726).
 
     A probe is (A (x) I) sum_a |aa> for a 2x2 A with tr(A^dag A) = 1, so
-    id (x) Delta maps it to (A (x) I) J (A (x) I)^dag, J the Choi matrix of
-    Delta.  Take C = diag(sqrt(1 - t), sqrt(t)) (x) I, t clamped to
-    [1e-5, 1 - 1e-5], and Y = C^-1 |C J C| C^-1.  Y >= +-J by congruence,
-    so the probe's trace norm is at most
+    id (x) Delta maps it to (A (x) I) J (A (x) I)^dag.  Take
+    C = diag(sqrt(1 - t), sqrt(t)) (x) I, t clamped to [1e-5, 1 - 1e-5],
+    and Y = C^-1 |C J C| C^-1.  Y >= +-J by congruence, so the probe's
+    trace norm is at most
     tr((A (x) I) Y (A (x) I)^dag) = tr(A^dag A Tr_2 Y) <= lambda_max(Tr_2 Y).
     The computed Y falls short of Y >= +-J by the rounding delta, the most
     negative eigenvalue of Y - J and Y + J, so the bound is
@@ -465,12 +372,11 @@ def _entangled_bounds(lmats: np.ndarray, t: np.ndarray) -> np.ndarray:
     t = np.clip(t, _BOUND_CLAMP, 1.0 - _BOUND_CLAMP)
     c = np.sqrt(np.stack([1.0 - t, 1.0 - t, t, t], axis=1))
     scale = c[:, :, None] * c[:, None, :]
-    choi = _choi(lmats)
-    w, v = np.linalg.eigh(scale * choi)
+    w, v = np.linalg.eigh(scale * chois)
     y = (v * np.abs(w)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2) / scale
     y = 0.5 * (y + np.swapaxes(y.conj(), 1, 2))
     lowest = np.minimum(
-        np.linalg.eigvalsh(y - choi)[:, 0], np.linalg.eigvalsh(y + choi)[:, 0]
+        np.linalg.eigvalsh(y - chois)[:, 0], np.linalg.eigvalsh(y + chois)[:, 0]
     )
     marginal = np.trace(y.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
     top = np.linalg.eigvalsh(marginal)[:, -1]
@@ -480,11 +386,11 @@ def _entangled_bounds(lmats: np.ndarray, t: np.ndarray) -> np.ndarray:
 def brute_max_single(c1, c2, cfg: SearchConfig = DEFAULT_CONFIG) -> DistanceResult:
     """Maximize the output trace distance over the Bloch sphere.
 
-    Uniform (polar, azimuth) grid with cfg.grid_points per axis, then the
-    zoom along the polar angle next to its best point.  arg is the weight
-    on |1> of the winning probe.
+    Uniform grid of cfg.grid_points polar angles, each at its best azimuth
+    (:func:`_bloch_rows`), then the zoom along the polar angle next to its
+    best point.  arg is the weight on |1> of the winning probe.
     """
-    return _grid_searches(_superops([(c1, c2)]), cfg, restricted=False)[0][0]
+    return _grid_searches(_chois([(c1, c2)]), cfg, restricted=False)[0][0]
 
 
 def brute_max_entangled(
@@ -501,7 +407,7 @@ def brute_max_entangled(
     """
     if mode != "restricted":
         raise ValueError(f"mode must be 'restricted', got {mode!r}")
-    return _grid_searches(_superops([(c1, c2)]), cfg, bloch=False)[0][0]
+    return _grid_searches(_chois([(c1, c2)]), cfg, bloch=False)[0][0]
 
 
 def brute_max_many(
@@ -516,7 +422,7 @@ def brute_max_many(
     pairs = list(pairs)
     if not pairs:
         return []
-    return list(zip(*_grid_searches(_superops(pairs), cfg)))
+    return list(zip(*_grid_searches(_chois(pairs), cfg)))
 
 
 def optimal_entangled_probe(
@@ -530,16 +436,13 @@ def optimal_entangled_probe(
 
 def _helstrom_eigen(delta) -> tuple[Measurement, float]:
     """The :func:`helstrom` measurement of ``delta`` and its trace norm,
-    both from one eigensystem."""
+    both from one eigensystem: the plus projector is V V^dag over the
+    eigenvectors V of the strictly positive eigenvalues."""
     vals, vecs = smallmat.hermitian_eigensystem(delta)
-    dim = len(vals)
-    plus = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        if vals[i] > 0.0:
-            v = vecs[:, i : i + 1]
-            plus += v @ v.conj().T
+    v = vecs[:, vals > 0.0]
+    plus = v @ v.conj().T
     plus = 0.5 * (plus + plus.conj().T)
-    minus = np.eye(dim) - plus
+    minus = np.eye(len(vals)) - plus
     measurement = Measurement(plus, 0.5 * (minus + minus.conj().T))
     return measurement, float(np.sum(np.abs(vals)))
 

@@ -216,8 +216,7 @@ def test_criterion_9_worked_fixed_point():
 
 
 def test_criterion_10_cptp_validity():
-    # the Kraus sets and superoperators every oracle search builds, and the
-    # Choi matrices it reads off them
+    # the Kraus sets and Choi matrices every oracle search builds
     rng = np.random.default_rng(1010)
     worst_eig = 0.0
     worst_comp = 0.0
@@ -229,7 +228,7 @@ def test_criterion_10_cptp_validity():
         ops = channels.kraus_operators(c)
         total = np.einsum("kba,kbc->ac", ops.conj(), ops)
         comp = float(np.max(np.abs(total - np.eye(2))))
-        choi = oracle._choi(channels.superoperator(c)[None])[0]
+        choi = channels.choi_matrix(c)
         min_eig = float(smallmat.hermitian_eigensystem(choi)[0][0])
         worst_comp = max(worst_comp, comp)
         worst_eig = min(worst_eig, min_eig) if k else min_eig

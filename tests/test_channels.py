@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from entdisc import channels, oracle, smallmat
+from entdisc import channels, smallmat
 from entdisc.channels import ExtremalChannel, QubitChannel
 
 
+PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+)
+
+
 def act(c, rho):
-    """``c`` on a one-qubit density matrix, or id (x) c on a two-qubit one,
-    through its superoperator on the row-major vec(rho)."""
-    smat = channels.superoperator(c)
+    """``c`` on a one-qubit density matrix, or id (x) c on a two-qubit one:
+    the Kraus sum sum_k K rho K^dag, with I (x) K on two qubits."""
+    ops = channels.kraus_operators(c)
     if len(rho) == 4:
-        smat = channels.extend_superoperator(smat)
-    return (smat @ rho.reshape(-1)).reshape(rho.shape)
+        ops = [np.kron(np.eye(2), op) for op in ops]
+    return sum(op @ rho @ op.conj().T for op in ops)
 
 
 def bell_phi_plus():
@@ -78,18 +83,12 @@ class TestKrausOfMixture:
         c = QubitChannel(
             0.3, ExtremalChannel(theta, theta), ExtremalChannel(theta2, math.pi - theta2)
         )
-        paulis = [
-            np.eye(2, dtype=complex),
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]], dtype=complex),
-            np.array([[1, 0], [0, -1]], dtype=complex),
-        ]
         ops = channels.kraus_operators(c)
         assert len(ops) == 4
         for op in ops:
             scale = np.max(np.abs(op))
             assert scale > 0
-            overlaps = [abs(np.trace(p.conj().T @ op)) / (2 * scale) for p in paulis]
+            overlaps = [abs(np.trace(p.conj().T @ op)) / (2 * scale) for p in PAULIS]
             assert max(overlaps) == pytest.approx(1.0, abs=1e-12)
         # unital: no translation of the Bloch ball
         np.testing.assert_allclose(affine(c)[1:, 0], 0.0, atol=1e-12)
@@ -148,7 +147,9 @@ class TestKrausOperators:
             ]),
         )
 
-    def test_superoperator_matches_kron_reference(self):
+    def test_choi_matrix_matches_kron_reference(self):
+        # bit for bit sum_k vec(K_k) vec(K_k)^dag, vec stacking the columns
+        # of the paper's Kraus operators, the all-zero ones dropped
         rng = np.random.default_rng(26)
         chans = [QubitChannel.extremal(0.0, 0.0),
                  QubitChannel.extremal(math.pi / 2, math.pi / 2)]
@@ -159,23 +160,15 @@ class TestKrausOperators:
                       QubitChannel(float(rng.uniform(0, 1)), e1, e2),
                       QubitChannel(float(rng.choice([0.0, 1.0])), e1, e2)]
         for c in chans:
-            ops = [
-                op
+            vecs = [
+                op.T.reshape(-1)
                 for w, e in ((math.sqrt(c.lam), c.first),
                              (math.sqrt(1.0 - c.lam), c.second))
                 for op in kraus_pair(e, w)
                 if np.max(np.abs(op)) > 1e-15
             ]
-            kron = [np.kron(np.eye(2), op) for op in ops]
-            for extended, mats in ((False, np.array(ops)), (True, np.array(kron))):
-                dim = mats.shape[1]
-                reference = np.einsum(
-                    "kab,kcd->acbd", mats, mats.conj()
-                ).reshape(dim * dim, dim * dim)
-                smat = channels.superoperator(c)
-                if extended:
-                    smat = channels.extend_superoperator(smat)
-                assert smat.tobytes() == reference.tobytes()
+            reference = sum(np.outer(v, v.conj()) for v in vecs)
+            assert channels.choi_matrix(c).tobytes() == reference.tobytes()
 
 
 class TestApply:
@@ -258,71 +251,12 @@ class TestApplyExtended:
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-class TestSuperoperator:
-    def test_matches_kraus_sum(self):
-        rng = np.random.default_rng(24)
-        for _ in range(30):
-            c = QubitChannel(
-                float(rng.uniform(0, 1)),
-                ExtremalChannel(*rng.uniform(0, math.pi, 2)),
-                ExtremalChannel(*rng.uniform(0, math.pi, 2)),
-            )
-            for dim, extended in ((2, False), (4, True)):
-                x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                ops = channels.kraus_operators(c)
-                if extended:
-                    ops = [np.kron(np.eye(2), op) for op in ops]
-                expected = sum(op @ x @ op.conj().T for op in ops)
-                smat = channels.superoperator(c)
-                if extended:
-                    smat = channels.extend_superoperator(smat)
-                out = (smat @ x.reshape(-1)).reshape(dim, dim)
-                assert np.max(np.abs(out - expected)) < 1e-12
-
-    def test_extended_is_the_expanded_qubit_superoperator(self):
-        # bit for bit the sum over kron(I, K) (x) conj kron(I, K), on
-        # channels whose zero Kraus operators are dropped too
-        rng = np.random.default_rng(27)
-        chans = [channels.parse_channel(text) for text in (
-            "identity", "ad(0)", "ad(1)", "pauli(0.3,0.4,1.1)"
-        )]
-        for _ in range(20):
-            e1 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
-            e2 = ExtremalChannel(*rng.uniform(0, math.pi, 2))
-            chans += [QubitChannel.extremal(e1.phi, e1.theta),
-                      QubitChannel(float(rng.uniform(0, 1)), e1, e2)]
-        smats = []
-        for c in chans:
-            ops = channels.kraus_operators(c)
-            kron = np.array([np.kron(np.eye(2), op) for op in ops])
-            reference = np.einsum("kab,kcd->acbd", kron, kron.conj()).reshape(16, 16)
-            smat = channels.superoperator(c)
-            expanded = channels.extend_superoperator(smat)
-            assert expanded.tobytes() == reference.tobytes()
-            smats.append(smat)
-        stacked = channels.extend_superoperator(np.array(smats))
-        for smat, row in zip(smats, stacked):
-            assert row.tobytes() == channels.extend_superoperator(smat).tobytes()
-
-    def test_extended_identity_on_reference_qubit(self):
-        # id (x) X-flip: the channel acts on the right qubit of |ab>
-        flip = QubitChannel.extremal(math.pi / 2, math.pi / 2)
-        smat = channels.extend_superoperator(channels.superoperator(flip))
-        for a in range(2):
-            for b in range(2):
-                ket = np.zeros(4)
-                ket[2 * a + b] = 1.0
-                flipped = np.zeros(4)
-                flipped[2 * a + 1 - b] = 1.0
-                out = smat @ np.outer(ket, ket).reshape(-1)
-                np.testing.assert_allclose(out, np.outer(flipped, flipped).reshape(-1))
-
-
 def affine(c):
-    """The affine Bloch picture the oracle reads off the superoperator: the
-    4 x 4 real matrix taking (1, x, y, z) of rho to (1, x, y, z) of c(rho)."""
-    return 2.0 * np.real(
-        oracle._PAULI_COORDS @ channels.superoperator(c) @ oracle._PAULI_HALVES
+    """The affine Bloch picture of ``c`` from its Kraus sum: the 4 x 4 real
+    matrix taking (1, x, y, z) of rho to (1, x, y, z) of c(rho), with
+    entries tr(sigma_k c(sigma_l)) / 2."""
+    return np.array(
+        [[np.trace(sk @ act(c, sl)).real / 2.0 for sl in PAULIS] for sk in PAULIS]
     )
 
 
@@ -356,18 +290,10 @@ class TestAffineMap:
 
     @staticmethod
     def _bloch(rho):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        z = np.array([[1, 0], [0, -1]], dtype=complex)
-        return np.array([np.trace(rho @ s).real for s in (x, y, z)])
+        return np.array([np.trace(rho @ s).real for s in PAULIS[1:]])
 
     def test_matches_reconstruction_from_basis_states(self):
         rng = np.random.default_rng(24)
-        paulis = [
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]], dtype=complex),
-            np.array([[1, 0], [0, -1]], dtype=complex),
-        ]
         for _ in range(40):
             c = QubitChannel(
                 float(rng.uniform(0, 1)),
@@ -378,7 +304,7 @@ class TestAffineMap:
             np.testing.assert_allclose(m, paper_affine(c), atol=1e-12)
             t = self._bloch(act(c, 0.5 * np.eye(2, dtype=complex)))
             np.testing.assert_allclose(t, m[1:, 0], atol=1e-10)
-            for k, sigma in enumerate(paulis):
+            for k, sigma in enumerate(PAULIS[1:]):
                 out = act(c, 0.5 * (np.eye(2, dtype=complex) + sigma))
                 np.testing.assert_allclose(
                     self._bloch(out) - t, m[1:, k + 1], atol=1e-10
@@ -400,10 +326,23 @@ class TestChoiMatrix:
         rng = np.random.default_rng(28)
         for _ in range(50):
             c = QubitChannel.extremal(*rng.uniform(0, math.pi, 2))
-            choi = oracle._choi(channels.superoperator(c)[None])[0]
+            choi = channels.choi_matrix(c)
             vals = smallmat.hermitian_eigensystem(choi)[0]
             assert vals[0] > -1e-10
             assert vals[1] < 1e-9
+
+    def test_is_the_channel_on_each_matrix_unit(self):
+        # J = sum_ab |a><b| (x) c(|a><b|), each c(|a><b|) a Kraus sum
+        rng = np.random.default_rng(29)
+        units = np.eye(4).reshape(4, 2, 2)  # |a><b| at row 2a + b
+        for k in range(60):
+            c = QubitChannel(
+                float(rng.uniform(0, 1)) if k % 2 else 1.0,
+                ExtremalChannel(*rng.uniform(0, math.pi, 2)),
+                ExtremalChannel(*rng.uniform(0, math.pi, 2)),
+            )
+            reference = sum(np.kron(u, act(c, u)) for u in units)
+            assert np.max(np.abs(channels.choi_matrix(c) - reference)) <= 1e-15
 
 
 def quasi_extreme(e):

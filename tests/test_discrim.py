@@ -171,10 +171,11 @@ class TestComputeParams:
 
     def test_bit_identical_to_per_moment_formulas(self):
         # compute_params as it was written before its single trig pass:
-        # one lambda per moment, each evaluating its own cos and sin
+        # one lambda per moment, each evaluating its own cos and sin, with
+        # squares as products
         moments = (
-            lambda e: math.cos(e.theta) ** 2,
-            lambda e: math.cos(e.phi) ** 2,
+            lambda e: math.cos(e.theta) * math.cos(e.theta),
+            lambda e: math.cos(e.phi) * math.cos(e.phi),
             lambda e: math.cos(e.phi) * math.cos(e.theta),
             lambda e: math.sin(e.phi) * math.sin(e.theta),
         )
@@ -301,8 +302,8 @@ class TestProfiles:
                 A = (1 - s) * a - s * b
                 T = (1 - s) * a + s * b
                 u = s * (1 - s)
-                E = sum(max(abs(T), math.sqrt(A**2 + 4 * u * g**2)) for g in (g1, g2))
-                f = sum(math.sqrt(A**2 + 4 * u * g**2) for g in (g1, g2))
+                E = sum(max(abs(T), math.sqrt(A * A + 4 * u * (g * g))) for g in (g1, g2))
+                f = sum(math.sqrt(A * A + 4 * u * (g * g)) for g in (g1, g2))
                 assert discrim.entangled_profile(p, s) == E
                 assert discrim.f_entangled(p, s) == f
                 if gM**2 <= a * b:
