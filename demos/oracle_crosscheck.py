@@ -1,41 +1,30 @@
 """Cross-check every closed form against the brute-force search.
 
-Draws seeded random channel pairs (extremal and mixtures), compares the
-closed-form trace-distance maxima with direct probe-state optimization,
-and tallies decision-tree agreement with the measured advantage.  This is
-a compact version of what `entdisc verify` and the acceptance tests run
-at larger sample counts.
+Runs the seeded checks behind `entdisc verify` on a few dozen pairs that
+alternate between extremal maps and mixtures, and prints their reports:
+the closed-form single-qubit and entangled maxima against the oracle's
+searches (with Lemma 2 certified on every pair), and the decision tree's
+verdicts against the advantage the oracle measures.  `entdisc verify` and
+the acceptance tests run the same checks at larger sample counts.
 """
 
-import numpy as np
-
-from entdisc import checks, discrim, oracle
+from entdisc import checks, oracle
 
 SAMPLES = 60
 SEED = 7
 cfg = oracle.SearchConfig(grid_points=96)
 
-rng = np.random.default_rng(SEED)
-worst_single = worst_ent = 0.0
-agree = retained = 0
-for k in range(SAMPLES):
-    if k % 2 == 0:
-        c1, c2 = checks.sample_extremal(rng), checks.sample_extremal(rng)
-    else:
-        c1, c2 = checks.sample_mixture(rng), checks.sample_mixture(rng)
-    cls = discrim.classify_pair(c1, c2)
-    closed_s, closed_e = cls.params.single.value, cls.params.entangled.value
-    brute_s = oracle.brute_max_single(c1, c2, cfg).value
-    brute_e = oracle.brute_max_entangled(c1, c2, cfg).value
-    worst_single = max(worst_single, abs(closed_s - brute_s))
-    worst_ent = max(worst_ent, abs(closed_e - brute_e))
-    if cls.margins and min(abs(v) for v in cls.margins.values()) < 1e-3:
-        continue
-    retained += 1
-    if cls.useful == (brute_e - brute_s > 1e-6):
-        agree += 1
+lemma1 = checks.check_lemma1(SAMPLES, SEED, cfg)
+lemma2 = checks.check_lemma2(SAMPLES, SEED, cfg)
+tree = checks.check_tree(SAMPLES, SEED, cfg)
+agree = tree["retained"] - len(tree["failures"])
 
-print(f"{SAMPLES} seeded pairs (alternating extremal / mixtures)")
-print(f"worst |closed - brute| single   : {worst_single:.3e}")
-print(f"worst |closed - brute| entangled: {worst_ent:.3e}")
-print(f"tree vs oracle agreement        : {agree}/{retained} retained samples")
+print(f"{SAMPLES} seeded pairs (alternating extremal / mixtures), seed {SEED}")
+print(f"worst |closed - brute| single   : {lemma1['max_deviation']:.3e}")
+print(f"worst |closed - brute| entangled: {lemma2['max_deviation']:.3e}")
+print(f"largest certified Lemma 2 excess: {lemma2['max_certified_excess']:.3e}")
+print(f"tree vs oracle agreement        : {agree}/{tree['retained']} retained samples")
+print(f"  (discarded: slack below {tree['slack_threshold']:g}; "
+      f"useful: oracle gap above {tree['gap_threshold']:g})")
+for report in (lemma1, lemma2, tree):
+    print(f"{report['mode']:<6}: {'PASS' if report['passed'] else 'FAIL'}")

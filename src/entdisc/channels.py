@@ -49,6 +49,18 @@ if TYPE_CHECKING:
 QUASI_EXTREME_TOL = 1e-10
 
 
+def _check_angle(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless the angle lies in [0, pi]."""
+    if not (0.0 <= value <= math.pi):
+        raise ValueError(f"{name} must lie in [0, pi], got {value}")
+
+
+def _check_weight(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless the weight lies in [0, 1]."""
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class ExtremalChannel:
     """A closure-of-extreme-points qubit channel, angles in [0, pi]."""
@@ -57,9 +69,8 @@ class ExtremalChannel:
     theta: float
 
     def __post_init__(self):
-        for name, value in (("phi", self.phi), ("theta", self.theta)):
-            if not (0.0 <= value <= math.pi):
-                raise ValueError(f"{name} must lie in [0, pi], got {value}")
+        _check_angle("phi", self.phi)
+        _check_angle("theta", self.theta)
 
 
 @dataclass(frozen=True)
@@ -75,8 +86,7 @@ class QubitChannel:
     second: ExtremalChannel
 
     def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
+        _check_weight("lambda", self.lam)
 
     @classmethod
     def extremal(cls, phi: float, theta: float) -> "QubitChannel":

@@ -10,14 +10,18 @@ per process (:func:`build_parser`), and ``params``, ``classify`` and
 alone: ``verify`` and ``simulate`` import the oracle, the checks and numpy
 when they run.
 
-A sweep validates its grid once, from the channels at the grid's corners,
-and builds no channel object per cell.  Each cell's parameters come from
+A sweep validates its grid once, before any output: each fixed value and
+each axis's two ends against the range :mod:`channels` gives the
+parameter, so an error names the sweep parameter.  It builds no channel
+object.  An axis value is computed from its index as its row is written,
+and the last 4096 second-axis cells are kept for the next rows, so
+memory does not grow with the steps.  Each cell's parameters come from
 :func:`discrim.channel_moments`, the same path ``classify`` takes from a
-channel, with cos and sin taken once per distinct angle value and a
-channel's moments kept while its parameters do not change; the verdict
-comes from :func:`discrim.classify_moments`, and the row is written with
-:func:`_fmt_float` on its floats and literal ``true``/``false`` and node
-strings.
+channel, with cos and sin taken once per distinct angle value (the last
+4096 are kept) and a channel's moments kept while its parameters do not
+change; the verdict comes from :func:`discrim.classify_moments`, and the
+row is written with :func:`_fmt_float` on its floats and literal
+``true``/``false`` and node strings.
 
 ``--out`` is rewritten in place: it is opened without truncation, the
 rows are written from its start, and only then, for a regular file, is it
@@ -291,13 +295,24 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"sweep axes must differ, got {axes[0][0]!r} twice")
     names = [a[0] for a in axes]
     values = _parse_fixed(args.fix, names)
-    grids = [
-        [start + (stop - start) * i / (steps - 1) for i in range(steps)]
-        for _, start, stop, steps in axes
-    ]
-    if len(axes) == 1:
-        grids.append([None])
-    channel1, channel2 = (operator.itemgetter(*keys) for keys in CHANNEL_PARAMS)
+
+    def value(k, i):
+        # computed when it is read, so memory does not grow with the steps
+        _, start, stop, steps = axes[k]
+        return start + (stop - start) * i / (steps - 1)
+
+    @functools.lru_cache(maxsize=4096)
+    def second_cell(j):
+        v2 = value(1, j)
+        return _fmt_float(v2), v2
+
+    def second_axis():
+        """Text and value of each second-axis cell, the last 4096 kept for
+        the next rows; a one-axis sweep has one empty cell, which sets
+        nothing."""
+        if len(axes) == 1:
+            return (("", None),)
+        return map(second_cell, range(axes[1][3]))
 
     def set_cell(v1, v2):
         values[names[0]] = v1
@@ -305,28 +320,27 @@ def cmd_sweep(args) -> int:
             values[names[1]] = v2
 
     # The axes are linear and every parameter range is an interval, so the
-    # channels at the grid's corners validate every cell before any output.
-    for v1 in (grids[0][0], grids[0][-1]):
-        for v2 in (grids[1][0], grids[1][-1]):
-            set_cell(v1, v2)
-            for lam, phi, theta, phi_p, theta_p in (channel1(values), channel2(values)):
-                channels.QubitChannel(
-                    lam,
-                    channels.ExtremalChannel(phi, theta),
-                    channels.ExtremalChannel(phi_p, theta_p),
-                )
+    # fixed values and each axis's two ends validate every cell before any
+    # output.  An error names the sweep parameter.
+    ends = [(name, value(k, i))
+            for k, (name, *_, steps) in enumerate(axes) for i in (0, steps - 1)]
+    for name, v in [*values.items(), *ends]:
+        lam = name.startswith("lambda")
+        (channels._check_weight if lam else channels._check_angle)(name, v)
+    channel1, channel2 = (operator.itemgetter(*keys) for keys in CHANNEL_PARAMS)
 
     # A cell builds no channel object: trig is taken once per distinct
     # angle, and each channel's moments are kept while its parameters stay
     # (the last two sets, so a channel that no axis moves is done once).
-    trig = functools.lru_cache(maxsize=None)(discrim.cos_sin)
+    # Past 4096 angles the least recent are dropped and taken again when
+    # read, so a grid of any size holds a bounded cache.
+    trig = functools.lru_cache(maxsize=4096)(discrim.cos_sin)
 
     @functools.lru_cache(maxsize=2)
     def moments(lam, phi, theta, phi_p, theta_p):
         return discrim.channel_moments(lam, phi, theta, phi_p, theta_p, trig)
 
     fmt = _fmt_float
-    second = [("" if v2 is None else fmt(v2), v2) for v2 in grids[1]]
     try:
         # Written in place, not truncated on open: on ext4 a truncate to zero
         # frees the old blocks and makes the close flush the file, which
@@ -335,9 +349,10 @@ def cmd_sweep(args) -> int:
         with open(fd, "w", encoding="utf-8") as fh:
             try:
                 fh.write(CSV_HEADER + "\n")
-                for v1 in grids[0]:
+                for i in range(axes[0][3]):
+                    v1 = value(0, i)
                     text1 = fmt(v1)
-                    for text2, v2 in second:
+                    for text2, v2 in second_axis():
                         set_cell(v1, v2)
                         cls = discrim.classify_moments(
                             moments(*channel1(values)), moments(*channel2(values))
@@ -360,7 +375,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"cannot write {args.out!r}: {exc}") from None
     rec = _base_record("sweep")
     rec["out"] = args.out
-    rec["rows"] = len(grids[0]) * len(grids[1])
+    rec["rows"] = math.prod(steps for *_, steps in axes)
     _print_record(rec)
     return EXIT_OK
 

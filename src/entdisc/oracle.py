@@ -23,9 +23,10 @@ In the weight t on |1> (Bloch, t = sin^2 of half the polar angle) or on
 value is the sum of the trace norms of two Hermitian 2x2 blocks whose
 Pauli coordinates are linear in (1 - t, t, sqrt(t (1 - t)))
 (:func:`_block_values`, :func:`_tracenorm2`).  A check runs every search
-of its pairs as the rows of one zoom (:func:`brute_max_many`); a one-pair
-search is a one-row call.  Grids and zoom levels are uniform, ties go to
-the lowest index and rows never mix, so every search is deterministic.
+of a chunk of its pairs as the rows of one zoom (:func:`brute_max_many`);
+a one-pair search is a one-row call.  Grids and zoom levels are uniform,
+ties go to the lowest index and rows never mix, so every search is
+deterministic.
 
 No search runs over all of C^4.  Lemma 2 (no two-qubit probe beats the
 restricted family) is proved pair by pair instead: by the

@@ -392,10 +392,16 @@ class TestSweep:
     @pytest.mark.parametrize(
         "fix, digest",
         [
-            (["phi2=1.0", "theta2=0.2"],
-             "473b93684bc34bfbf3918b81ad5f583627ab08024473571198708c382977c48a"),
-            (["phi2=1.0", "theta2=0.2", "lambda1=0.3", "phi1p=2.0", "theta1p=0.4"],
-             "bc7b7b59e70474f8bdfc18d84587619867605e7fbf1373d988698ed84ef8d1da"),
+            pytest.param(
+                ["phi2=1.0", "theta2=0.2"],
+                "473b93684bc34bfbf3918b81ad5f583627ab08024473571198708c382977c48a",
+                id="readme",
+            ),
+            pytest.param(
+                ["phi2=1.0", "theta2=0.2", "lambda1=0.3", "phi1p=2.0", "theta1p=0.4"],
+                "bc7b7b59e70474f8bdfc18d84587619867605e7fbf1373d988698ed84ef8d1da",
+                id="mixture",
+            ),
         ],
     )
     def test_readme_grid_golden(self, tmp_path, capsys, fix, digest):
@@ -437,8 +443,9 @@ class TestSweep:
             "--out", str(tmp_path / "s.csv"),
         )
         assert code == 0
-        # corner validation alone: 4 corners x 2 channels x 2 components
-        assert built == {"extremal": 16, "mixture": 8}
+        # validation reads each parameter's range from channels, and builds
+        # no channel either
+        assert built == {"extremal": 0, "mixture": 0}
         # one trig pass per distinct angle: the axis values and the fixed
         # phi2, theta2, phi1p, theta1p and phi2p = theta2p = 0
         phi1 = [0.2 + (3.0 - 0.2) * i / 8 for i in range(9)]
@@ -479,6 +486,32 @@ class TestSweepOutFile:
         code, stdout, err = self.sweep(capsys, os.devnull)
         assert (code, err) == (0, "")
         assert json.loads(stdout)["out"] == os.devnull
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_huge_grid_streams_into_a_full_device(self):
+        # the axes were lists of every value, and under this 1 GiB
+        # address-space limit the sweep ended in a MemoryError traceback
+        resource = pytest.importorskip("resource")
+        limit = 1 << 30
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        steps = 10**11
+        proc = subprocess.run(
+            [sys.executable, "-m", "entdisc.cli", "sweep",
+             "--grid", f"phi1=0:1:{steps}", "--grid", f"theta1=0:1:{steps}",
+             "--out", "/dev/full"],
+            env=env, capture_output=True, text=True, timeout=30,
+            preexec_fn=limit_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: cannot write '/dev/full': ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_reader_gets_the_same_bytes(self, tmp_path, capsys):
@@ -967,11 +1000,12 @@ class TestOneAnalysisPerPair:
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_rejects_out_of_range_fixed_value(self, tmp_path, capsys, calls):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "sweep", "lambda2=1.5", "--grid", "phi1=0:1:3",
             "--out", str(tmp_path / "s.csv"),
         )
         assert code == 1
+        assert err == "error: lambda2 must lie in [0, 1], got 1.5\n"
         assert calls == {"single": 0, "entangled": 0}
         assert list(tmp_path.iterdir()) == []
 

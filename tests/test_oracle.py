@@ -382,12 +382,13 @@ class TestCertifiedBound:
     def pairs():
         rng = checks._rng(71)
         identity = channels.parse_channel("identity")
-        return (
-            checks._draw_pairs(6, rng, checks.sample_extremal)
-            + checks._draw_pairs(6, rng, checks.sample_mixture)
-            + checks._draw_pairs(6, rng, checks.sample_quasi_extreme)
-            + [(identity, identity), PRODUCT_TRAP]
-        )
+        return [
+            *checks._draw_pairs(6, rng, checks.sample_extremal),
+            *checks._draw_pairs(6, rng, checks.sample_mixture),
+            *checks._draw_pairs(6, rng, checks.sample_quasi_extreme),
+            (identity, identity),
+            PRODUCT_TRAP,
+        ]
 
     def test_bound_holds_over_every_probe(self):
         pairs = self.pairs()
@@ -714,7 +715,9 @@ class TestRestrictedBlocks:
         # a quasi-extreme pair's restricted profile is flat or symmetric in
         # t <-> 1 - t; the eigensolver and the Choi blocks round its tied
         # points differently, yet pick the same top, where the zoom starts
-        pairs = checks._draw_pairs(200, checks._rng(303), checks.sample_quasi_extreme)
+        pairs = list(
+            checks._draw_pairs(200, checks._rng(303), checks.sample_quasi_extreme)
+        )
         cfg = SearchConfig()
         chois = oracle._chois(pairs)
         _, tops = grid_best(oracle._restricted_rows(chois, cfg.grid_points))
@@ -916,11 +919,11 @@ class TestBatchedEngine:
         # every zoomed value within 1e-15 of its closed form, and no
         # restricted value above its certified bound over all of C^4
         rng = checks._rng(11)
-        pairs = (
-            checks._draw_pairs(300, rng, checks.sample_extremal)
-            + checks._draw_pairs(300, rng, checks.sample_mixture)
-            + checks._draw_pairs(200, rng, checks.sample_quasi_extreme)
-        )
+        pairs = [
+            *checks._draw_pairs(300, rng, checks.sample_extremal),
+            *checks._draw_pairs(300, rng, checks.sample_mixture),
+            *checks._draw_pairs(200, rng, checks.sample_quasi_extreme),
+        ]
         results = oracle.brute_max_many(pairs, self.CFG)
         bounds = oracle._entangled_bounds(
             oracle._chois(pairs), np.array([ent.arg for _, ent in results])
